@@ -7,14 +7,15 @@ import (
 	"repro/internal/bitrand"
 )
 
-// SparseNeighborMasks is the block-sparse counterpart of NeighborMasks: each
-// node's bitmap row stores only its nonzero 64-bit blocks — a block index
-// array plus the packed block words, CSR-style over one flat backing pair —
-// instead of the full ⌈n/64⌉-word slab. Storage is proportional to the edge
-// count (at most one entry per directed edge, far fewer once neighbors share
-// blocks), where the dense slab is quadratic in n: at n = 10⁶ the dense
-// layout needs ~125 GB while the sparse rows of a ring-with-chords network
-// fit in tens of megabytes.
+// SparseNeighborMasks is the word-parallel adjacency of a graph: bit v of
+// node u's bitmap row is set iff (u, v) is an edge, and each row stores only
+// its nonzero 64-bit blocks — a block index array plus the packed block
+// words, CSR-style over one flat backing pair — instead of the full
+// ⌈n/64⌉-word row. Storage is proportional to the edge count (at most one
+// entry per directed edge, far fewer once neighbors share blocks), where
+// full rows would be quadratic in n: at n = 10⁶ they would need ~125 GB
+// while the sparse rows of a ring-with-chords network fit in tens of
+// megabytes.
 //
 // Rows are stored in the cluster-major id space of a ClusterOrder, so that
 // the neighbors of nearby nodes pack into the same blocks and adjacent rows
@@ -114,7 +115,7 @@ func BuildSparseNeighborMasks(g *Graph, ord *ClusterOrder) *SparseNeighborMasks 
 	return m
 }
 
-// W returns the dense row stride the sparse rows index into: WordsFor(n).
+// W returns the full row stride the sparse rows index into: WordsFor(n).
 func (m *SparseNeighborMasks) W() int { return m.w }
 
 // RegionShift returns the summary granularity: region j covers block indices
@@ -132,7 +133,7 @@ func (m *SparseNeighborMasks) Bytes() int {
 
 // BlockRow returns cluster-major node u's nonzero blocks as zero-copy views:
 // ascending block indices and the matching block words. Like
-// NeighborMasks.Row, the views are shared, read-only, and only as alive as
+// Graph.Neighbors, the views are shared, read-only, and only as alive as
 // the graph they came from.
 func (m *SparseNeighborMasks) BlockRow(u NodeID) (idx []int32, words []uint64) {
 	return m.idx[m.offs[u]:m.offs[u+1]], m.words[m.offs[u]:m.offs[u+1]]
@@ -190,7 +191,7 @@ type sparseMaskCache struct {
 
 // SparseMasksOf returns the dual's block-sparse mask set, computed once per
 // (immutable) network and shared by every trial and epoch revisit — the same
-// memoization contract as NeighborMasksOf, keyed on the Dual because the
+// memoization contract as CliqueCoverOf, keyed on the Dual because the
 // cluster-major order must be shared between the G and G' rows.
 func SparseMasksOf(d *Dual) *SparseMaskSet {
 	d.sparse.once.Do(func() {
@@ -201,18 +202,20 @@ func SparseMasksOf(d *Dual) *SparseMaskSet {
 }
 
 // EstimateSparseMaskBytes bounds the block-sparse mask footprint of d
-// without building it: at most one (index, word) entry per directed edge
-// plus the per-row offset and summary arrays, doubled across G and G' when
-// the execution needs unreliable rows. The engine's PlanAuto gate compares
-// this bound against its memory budget — the estimate is an upper bound
-// (neighbors sharing a block collapse into one entry), so a passing gate can
-// only overstate the real cost.
+// without building it: at most one (index, word) entry per directed edge,
+// and never more than one per row block (n·⌈n/64⌉), plus the per-row offset
+// and summary arrays, doubled across G and G' when the execution needs
+// unreliable rows. The engine's PlanAuto gate compares this bound against
+// its memory budget — the estimate is an upper bound (neighbors sharing a
+// block collapse into one entry), so a passing gate can only overstate the
+// real cost.
 func EstimateSparseMaskBytes(d *Dual, withGPrime bool) int64 {
 	n := int64(d.N())
-	entries := 2 * int64(d.g.NumEdges())
+	maxBlocks := n * int64(bitrand.WordsFor(d.N()))
+	entries := min(2*int64(d.g.NumEdges()), maxBlocks)
 	rows := n
 	if withGPrime && d.gp != d.g {
-		entries += 2 * int64(d.gp.NumEdges())
+		entries += min(2*int64(d.gp.NumEdges()), maxBlocks)
 		rows += n
 	}
 	// 12 bytes per entry (int32 index + uint64 word), 12 per row (offset +

@@ -198,4 +198,17 @@ func TestEstimateSparseMaskBytesBounds(t *testing.T) {
 			t.Fatalf("G-only estimate %d exceeds with-G' estimate %d", estG, est)
 		}
 	}
+
+	// On a dense graph a row has fewer nonzero blocks than neighbors: the
+	// entry count is capped at ⌈n/64⌉ per row, not 2·E, and still bounds the
+	// real footprint.
+	dense := UniformDual(Circulant(512, 400))
+	n, w := int64(dense.N()), int64(bitrand.WordsFor(dense.N()))
+	est := EstimateSparseMaskBytes(dense, true)
+	if want := 12*n*w + 12*n + 16*n; est != want {
+		t.Fatalf("dense estimate %d, want the block cap %d", est, want)
+	}
+	if actual := int64(SparseMasksOf(dense).G.Bytes() + 16*dense.N()); est < actual {
+		t.Fatalf("dense estimate %d below actual footprint %d", est, actual)
+	}
 }

@@ -1,160 +1,98 @@
-package radio
+package radio_test
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/bitrand"
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/radio"
 )
 
-// The batched transmit-coin fill (stepBatch) must be bit-for-bit identical
-// to the per-node bulk loop: same coins from the same per-node streams in
-// the same ascending order, same transmitters, same deliveries, same energy
-// profile. These tests run identical configurations with the batch enabled
-// and disabled (via the disableCoinBatch hook) and require identical
-// Results — including rounds where the batch path reconstructs the
-// transmitter list for the scalar fallback (rebuildTx).
-//
-// The probe algorithm is defined here rather than borrowed from
-// internal/core (which imports this package): informed nodes flood with a
-// fixed probability, the exact BulkStepper shape — Step is one Bernoulli
-// trial, Frame the held rumor.
+// Under the bitmap plan the engine flips the transmit coins of BulkStepper
+// processes itself instead of dispatching Step per node. comparePlans
+// (bitmap_equiv_test.go) holds the delivery plan at PlanBitmap and toggles
+// only the coin path: every configuration runs once with the algorithm's own
+// processes (bulk coin loop) and once with every process wrapped by stepOnly
+// (Step dispatch), and the Results must be identical.
+// TestBatchCoinEquivalence keeps that comparison from going vacuous.
 
-type batchProc struct {
-	p   float64
-	msg *Message
-}
+// stepOnly hides the BulkStepper extension of the wrapped algorithm's
+// processes while keeping Step, Deliver and TransmitProb, so adaptive
+// adversaries see the same view, and OnEpoch, so EpochAware processes still
+// re-key at epoch swaps. Processes that are not BulkSteppers are passed
+// through unchanged.
+type stepOnly struct{ alg radio.Algorithm }
 
-func (pr *batchProc) TransmitProb(int) float64 {
-	if pr.msg == nil {
-		return 0
-	}
-	return pr.p
-}
+func (a stepOnly) Name() string { return a.alg.Name() }
 
-func (pr *batchProc) Frame(int) *Message { return pr.msg }
-
-func (pr *batchProc) Step(r int, rng *bitrand.Source) Action {
-	if rng.Coin(pr.TransmitProb(r)) {
-		return Transmit(pr.Frame(r))
-	}
-	return Listen()
-}
-
-func (pr *batchProc) Deliver(_ int, msg *Message) {
-	if msg != nil && pr.msg == nil {
-		pr.msg = msg
-	}
-}
-
-type batchAlg struct{ p float64 }
-
-func (batchAlg) Name() string { return "batch-flood" }
-
-func (a batchAlg) NewProcesses(net *graph.Dual, spec Spec, _ *bitrand.Source) []Process {
-	procs := make([]Process, net.N())
-	for u := range procs {
-		procs[u] = &batchProc{p: a.p}
-	}
-	informed := spec.Broadcasters
-	if spec.Problem == GlobalBroadcast {
-		informed = []graph.NodeID{spec.Source}
-	}
-	for _, u := range informed {
-		procs[u].(*batchProc).msg = &Message{Origin: u}
+func (a stepOnly) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitrand.Source) []radio.Process {
+	procs := a.alg.NewProcesses(net, spec, rng)
+	for u, p := range procs {
+		bs, ok := p.(radio.BulkStepper)
+		if !ok {
+			continue
+		}
+		if ea, ok := p.(radio.EpochAware); ok {
+			procs[u] = stepOnlyEpochProc{stepOnlyProc{bs}, ea}
+		} else {
+			procs[u] = stepOnlyProc{bs}
+		}
 	}
 	return procs
 }
 
-// staticAllLink commits the all-edges schedule, lighting up the G' sparse
-// rows under the batch path.
-type staticAllLink struct{}
+type stepOnlyProc struct{ bs radio.BulkStepper }
 
-func (staticAllLink) CommitSchedule(*Env) Schedule {
-	return StaticSchedule{Selector: graph.SelectAll{}}
+func (p stepOnlyProc) Step(r int, rng *bitrand.Source) radio.Action { return p.bs.Step(r, rng) }
+func (p stepOnlyProc) Deliver(r int, msg *radio.Message)            { p.bs.Deliver(r, msg) }
+func (p stepOnlyProc) TransmitProb(r int) float64                   { return p.bs.TransmitProb(r) }
+
+type stepOnlyEpochProc struct {
+	stepOnlyProc
+	ea radio.EpochAware
 }
 
-// staticPartialLink commits a fixed partial selector, which has no
-// precomputed sparse rows: sparse-plan rounds under it must rebuild the
-// transmitter list and fall back to the scalar walk.
-type staticPartialLink struct{}
+func (p stepOnlyEpochProc) OnEpoch(epoch int, net *graph.Dual) { p.ea.OnEpoch(epoch, net) }
 
-func (staticPartialLink) CommitSchedule(*Env) Schedule {
-	return StaticSchedule{Selector: graph.SelectCrossCut{
-		InA: func(u graph.NodeID) bool { return u%2 == 0 },
-	}}
-}
-
-// runBatched runs cfg with the batched coin fill forced on or off.
-func runBatched(t *testing.T, cfg Config, disable bool) Result {
-	t.Helper()
-	prev := disableCoinBatch
-	disableCoinBatch = disable
-	defer func() { disableCoinBatch = prev }()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
+// TestBatchCoinEquivalence pins the premise of comparePlans' coin-path
+// comparison for every algorithm its tables and fuzzer run: the plain
+// processes are all BulkSteppers, so the plain bitmap run takes the engine's
+// bulk coin loop, and the stepOnly processes are none, so the wrapped run
+// takes the Step dispatch while still exposing TransmitProb (and OnEpoch
+// where the plain process has it).
 func TestBatchCoinEquivalence(t *testing.T) {
-	var src bitrand.Source
-	src.Reseed(0xba7c4)
-	sparseNet := graph.UniformDual(graph.RingChords(&src, 3000, 6000))
-	sparseLinked := graph.AugmentDual(&src, graph.RingChords(&src, 2000, 4000), 3000)
-	denseNet := graph.UniformDual(graph.Circulant(2500, 320))
-
+	d := denseDual(t, 96, 10, 400, 0xc0175)
+	global := radio.Spec{Problem: radio.GlobalBroadcast, Source: 3}
+	local := radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: []graph.NodeID{0, 7, 19}}
 	cases := []struct {
-		name string
-		cfg  Config
+		alg  radio.Algorithm
+		spec radio.Spec
 	}{
-		// Forced plans keep every eligible round on a bitmap kernel; the
-		// high-probability runs exercise the dense word-register fill and the
-		// sparse scattered fill, while the low-probability runs spend most
-		// rounds under bitmapTxMin on the auto plan and so exercise
-		// rebuildTx.
-		{"dense-flood", Config{
-			Net: denseNet, Algorithm: batchAlg{p: 0.4},
-			Spec: Spec{Problem: LocalBroadcast, Broadcasters: []graph.NodeID{1, 700, 1900}},
-			Seed: 41, MaxRounds: 96, Plan: PlanBitmap, IgnoreCompletion: true,
-		}},
-		// Auto on the dense circulant keeps bitmapTxMin = WordsFor(n): the
-		// trickle's early rounds fall under it and take the rebuildTx →
-		// scalar-walk fallback, later rounds clear it and take the kernel.
-		{"dense-auto-trickle", Config{
-			Net: denseNet, Algorithm: batchAlg{p: 0.02},
-			Spec: Spec{Problem: GlobalBroadcast, Source: 7},
-			Seed: 42, MaxRounds: 256, Plan: PlanAuto,
-		}},
-		{"sparse-flood", Config{
-			Net: sparseNet, Algorithm: batchAlg{p: 0.5},
-			Spec: Spec{Problem: GlobalBroadcast, Source: 11},
-			Seed: 43, MaxRounds: 400, Plan: PlanBitmapSparse,
-		}},
-		{"sparse-flood-linked", Config{
-			Net: sparseLinked, Algorithm: batchAlg{p: 0.35},
-			Spec: Spec{Problem: LocalBroadcast, Broadcasters: []graph.NodeID{0, 500, 1500}},
-			Link: staticAllLink{},
-			Seed: 44, MaxRounds: 96, Plan: PlanBitmapSparse, IgnoreCompletion: true,
-		}},
-		// A committed partial selector has no sparse rows: every round takes
-		// rebuildTx (cluster-major bits sorted back to ascending ids) into
-		// the scalar walk.
-		{"sparse-static-partial", Config{
-			Net: sparseLinked, Algorithm: batchAlg{p: 0.3},
-			Spec: Spec{Problem: LocalBroadcast, Broadcasters: []graph.NodeID{0, 500, 1500}},
-			Link: staticPartialLink{},
-			Seed: 45, MaxRounds: 96, Plan: PlanBitmapSparse, IgnoreCompletion: true,
-		}},
+		{core.Aloha{P: 0.3}, local},
+		{core.DecayGlobal{}, global},
+		{core.DecayLocal{}, local},
+		{core.DerandBroadcast{}, global},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			batched := runBatched(t, tc.cfg, false)
-			perNode := runBatched(t, tc.cfg, true)
-			if !reflect.DeepEqual(batched, perNode) {
-				t.Errorf("results differ:\n batched:  %+v\n per-node: %+v", batched, perNode)
+		t.Run(tc.alg.Name(), func(t *testing.T) {
+			procs := tc.alg.NewProcesses(d, tc.spec, bitrand.New(1))
+			for u, p := range procs {
+				if _, ok := p.(radio.BulkStepper); !ok {
+					t.Fatalf("process %d (%T) is not a BulkStepper: the bitmap plan would not take the bulk coin loop", u, p)
+				}
+			}
+			for u, p := range (stepOnly{tc.alg}).NewProcesses(d, tc.spec, bitrand.New(1)) {
+				if _, ok := p.(radio.BulkStepper); ok {
+					t.Fatalf("wrapped process %d is still a BulkStepper", u)
+				}
+				if _, ok := p.(radio.TransmitProber); !ok {
+					t.Fatalf("wrapped process %d lost TransmitProb", u)
+				}
+				_, plain := procs[u].(radio.EpochAware)
+				if _, wrapped := p.(radio.EpochAware); wrapped != plain {
+					t.Fatalf("wrapped process %d: EpochAware %v, plain %v", u, wrapped, plain)
+				}
 			}
 		})
 	}

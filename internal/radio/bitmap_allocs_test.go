@@ -9,53 +9,14 @@ import (
 	"repro/internal/radio"
 )
 
-// TestBitmapDeliveryAllocs is the //dglint:noalloc gate for the
-// word-parallel delivery path (deliverBitmap) and the bulk transmit loop: a
-// warmed-up bitmap trial must match the scalar path's whole-trial budget
-// (TestHotPathAllocs). Any per-round allocation in the bitmap kernel blows
-// the budget by ~MaxRounds and fails loudly. The dense circulant keeps every
-// round in the bitmap path (the plan is forced, so bitmapTxMin is 0).
-func TestBitmapDeliveryAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation gate needs steady-state pooling")
-	}
-	net := graph.UniformDual(graph.Circulant(512, 64))
-	spec := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
-
-	seed := uint64(0)
-	trial := func() {
-		seed++
-		_, err := radio.Run(radio.Config{
-			Net:              net,
-			Algorithm:        core.DecayGlobal{},
-			Spec:             spec,
-			Seed:             seed,
-			MaxRounds:        256,
-			Plan:             radio.PlanBitmap,
-			IgnoreCompletion: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Same whole-trial budget as the scalar gate: engine, Result slices,
-	// process-arena miss paths. 256 bitmap rounds must contribute zero.
-	const budget = 6
-	got := testing.AllocsPerRun(100, trial)
-	t.Logf("bitmap trial allocs/op = %v (budget %d)", got, budget)
-	if got > budget {
-		t.Errorf("bitmap trial allocs/op = %v, budget %d", got, budget)
-	}
-}
-
 // TestSparseDeliveryAllocs is the //dglint:noalloc gate for the block-sparse
-// delivery kernel (deliverSparse) and the batched sparse coin fill: once the
+// delivery kernel (deliverSparse) and the bulk transmit loop: once the
 // per-graph memos (decomposition, cluster order, sparse mask rows) are warm
-// — AllocsPerRun's untimed warm-up run builds them — a sparse-plan trial
-// must match the dense gate's whole-trial budget, with the kernel, the
-// summary pruning, and the cluster-major id translation contributing zero
-// allocations per round.
+// — AllocsPerRun's untimed warm-up run builds them — a bitmap-plan trial
+// must match the scalar path's whole-trial budget (TestHotPathAllocs), with
+// the kernel, the summary pruning, and the cluster-major id translation
+// contributing zero allocations per round. Any per-round allocation blows
+// the budget by ~MaxRounds and fails loudly.
 func TestSparseDeliveryAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs steady-state pooling")
@@ -73,7 +34,7 @@ func TestSparseDeliveryAllocs(t *testing.T) {
 			Spec:             spec,
 			Seed:             seed,
 			MaxRounds:        256,
-			Plan:             radio.PlanBitmapSparse,
+			Plan:             radio.PlanBitmap,
 			IgnoreCompletion: true,
 		})
 		if err != nil {

@@ -1,7 +1,6 @@
 package radio_test
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -92,29 +91,19 @@ func TestDerandBitmapMatchesReference(t *testing.T) {
 		{"online-flicker", flickerLink{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := &radio.MemRecorder{}
-			_, err := radio.Run(radio.Config{
+			cfg := radio.Config{
 				Net:       d,
 				Algorithm: core.DerandBroadcast{},
 				Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
 				Link:      tc.link,
 				Seed:      61,
 				MaxRounds: 64 * 80,
-				Plan:      radio.PlanBitmap,
-				Recorder:  rec,
-			})
+			}
+			_, rec, err := tryPlan(cfg, radio.PlanBitmap, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range rec.Rounds {
-				want := radio.ReferenceDeliveries(d, r.Selector, r.Transmitters)
-				radio.SortDeliveries(want)
-				got := append([]radio.Delivery(nil), r.Deliveries...)
-				radio.SortDeliveries(got)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d deliveries diverge from reference:\n got:  %v\n want: %v", r.Round, got, want)
-				}
-			}
+			checkReference(t, cfg, rec)
 		})
 	}
 }

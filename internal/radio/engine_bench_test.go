@@ -25,7 +25,7 @@ func (allLink) CommitSchedule(*radio.Env) radio.Schedule {
 // per-iteration seed varies so transmit patterns are realistic, not cached.
 // Run with -benchmem: allocs/op is the tracked number (BENCH_pr2.json).
 func BenchmarkEngineRoundDelivery(b *testing.B) {
-	run := func(b *testing.B, net *graph.Dual, spec radio.Spec, link any, cover bool) {
+	run := func(b *testing.B, net *graph.Dual, spec radio.Spec, link any, cover bool, plan radio.DeliveryPlan) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -39,6 +39,7 @@ func BenchmarkEngineRoundDelivery(b *testing.B) {
 				Link:             link,
 				Seed:             uint64(i),
 				MaxRounds:        256,
+				Plan:             plan,
 				UseCliqueCover:   cover,
 				IgnoreCompletion: true,
 			})
@@ -49,22 +50,25 @@ func BenchmarkEngineRoundDelivery(b *testing.B) {
 	}
 	globalSpec := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
 
+	// The dual clique is the clique cover's home substrate; the forced
+	// bitmap row measures the word-parallel kernel against the cover on it.
 	dc, _ := graph.DualClique(128, 3)
-	b.Run("dual-clique/n=128", func(b *testing.B) { run(b, dc, globalSpec, nil, false) })
-	b.Run("dual-clique/n=128/cover", func(b *testing.B) { run(b, dc, globalSpec, nil, true) })
+	b.Run("dual-clique/n=128", func(b *testing.B) { run(b, dc, globalSpec, nil, false, radio.PlanAuto) })
+	b.Run("dual-clique/n=128/cover", func(b *testing.B) { run(b, dc, globalSpec, nil, true, radio.PlanAuto) })
+	b.Run("dual-clique/n=128/bitmap", func(b *testing.B) { run(b, dc, globalSpec, nil, false, radio.PlanBitmap) })
 
 	br, _ := graph.Bracelet(512, 1)
-	b.Run("bracelet/n=512", func(b *testing.B) { run(b, br, globalSpec, nil, false) })
-	b.Run("bracelet/n=512/all-link", func(b *testing.B) { run(b, br, globalSpec, allLink{}, false) })
+	b.Run("bracelet/n=512", func(b *testing.B) { run(b, br, globalSpec, nil, false, radio.PlanAuto) })
+	b.Run("bracelet/n=512/all-link", func(b *testing.B) { run(b, br, globalSpec, allLink{}, false, radio.PlanAuto) })
 
 	// Word-parallel delivery on a SCALE-class circulant: n = 10⁴, degree
 	// 2048, every node an aloha broadcaster at p = 1/2, so every round
 	// carries ~n/2 transmitters — the regime the bitmap kernel exists for.
-	// The scalar row walks ~10M adjacency entries per round; the bitmap row
-	// classifies every listener in a couple of masked popcounts
-	// (BENCH_pr7.json tracks the ratio). PlanAuto resolves to the same bitmap
-	// path here (dense rounds, thresholds cleared), measured separately to
-	// pin the hybrid dispatch overhead.
+	// The scalar row walks ~10M adjacency entries per round; the bitmap
+	// kernel classifies every listener in a few masked popcounts over its
+	// nonzero blocks (the BENCH records track the ratio). PlanAuto resolves
+	// to the same bitmap path here (node floor and mask budget cleared),
+	// measured separately to pin the hybrid dispatch overhead.
 	// Built lazily: the benchmark function body re-runs for every selected
 	// sub-benchmark, and the ~20M-entry CSR would otherwise bloat the live
 	// heap (and every small sub-bench's GC bill) even when no dense row is
@@ -108,14 +112,13 @@ func BenchmarkEngineRoundDelivery(b *testing.B) {
 }
 
 // BenchmarkSparseDelivery measures full aloha trials on the SCALE-family
-// ring-with-chords substrates across the delivery plans that can carry them:
-// the scalar CSR walk, the dense word-parallel kernel (only legal up to the
-// dense-mask node cap), and the block-sparse kernel the large sizes exist
-// for. Every node transmits at p = 1/2, the bitmap regime; IgnoreCompletion
-// pins the round count so ns/op compares across plans (BENCH_pr9.json tracks
-// the dense/sparse and scalar/sparse ratios). The substrates are built
-// lazily and memoized for the same reason as the dense circulant above — the
-// 10⁶-node dual alone holds ~10⁷ CSR entries plus its memoized sparse masks.
+// ring-with-chords substrates under the scalar CSR walk and the block-sparse
+// bitmap kernel the large sizes exist for. Every node transmits at p = 1/2,
+// the bitmap regime; IgnoreCompletion pins the round count so ns/op
+// compares across plans (the BENCH records track the scalar/sparse ratio).
+// The substrates are built lazily and memoized for the same reason as the
+// dense circulant above — the 10⁶-node dual alone holds ~10⁷ CSR entries
+// plus its memoized sparse masks.
 func BenchmarkSparseDelivery(b *testing.B) {
 	nets := map[int]*graph.Dual{}
 	mk := func(n int) *graph.Dual {
@@ -152,11 +155,10 @@ func BenchmarkSparseDelivery(b *testing.B) {
 		}
 	}
 	b.Run("n=10000/scalar", func(b *testing.B) { run(b, 10000, 32, radio.PlanScalar) })
-	b.Run("n=10000/dense", func(b *testing.B) { run(b, 10000, 32, radio.PlanBitmap) })
-	b.Run("n=10000/sparse", func(b *testing.B) { run(b, 10000, 32, radio.PlanBitmapSparse) })
+	b.Run("n=10000/sparse", func(b *testing.B) { run(b, 10000, 32, radio.PlanBitmap) })
 	b.Run("n=100000/scalar", func(b *testing.B) { run(b, 100000, 16, radio.PlanScalar) })
-	b.Run("n=100000/sparse", func(b *testing.B) { run(b, 100000, 16, radio.PlanBitmapSparse) })
-	b.Run("n=1000000/sparse", func(b *testing.B) { run(b, 1000000, 8, radio.PlanBitmapSparse) })
+	b.Run("n=100000/sparse", func(b *testing.B) { run(b, 100000, 16, radio.PlanBitmap) })
+	b.Run("n=1000000/sparse", func(b *testing.B) { run(b, 1000000, 8, radio.PlanBitmap) })
 }
 
 // BenchmarkEpochSwap measures full trials under a topology schedule against

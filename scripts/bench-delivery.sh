@@ -1,0 +1,44 @@
+#!/usr/bin/env bash
+# Delivery-plan benchmarks with their spread. Runs the engine's round
+# delivery benchmarks (dual clique with and without the clique cover and
+# under the forced bitmap plan, the n = 10^4 degree-2048 circulant under
+# every plan) and the block-sparse kernel benchmarks COUNT times each, then
+# prints one JSON object per benchmark: median, min and max ns/op, and the
+# median and min B/op and allocs/op. The min is the steady state: a run
+# whose engine scratch pool was emptied by a GC pays one fresh Θ(n) scratch
+# (~2·10⁴ allocs at n = 10⁵), spread over its iterations.
+#
+#   scripts/bench-delivery.sh [COUNT]    # COUNT defaults to 5
+#
+# Run it from the root of a checkout; run it in two checkouts to compare
+# them. Benchmarks a checkout lacks are simply absent from its output.
+set -euo pipefail
+
+count=${1:-5}
+raw=$(mktemp)
+trap 'rm -f "$raw"' EXIT
+
+go test -run '^$' -bench 'BenchmarkEngineRoundDelivery/dual-clique' \
+	-benchmem -benchtime 200x -count "$count" ./internal/radio/ >>"$raw"
+go test -run '^$' -bench 'BenchmarkEngineRoundDelivery/dense|BenchmarkSparseDelivery' \
+	-benchmem -benchtime 10x -count "$count" ./internal/radio/ >>"$raw"
+
+# name ns/op B/op allocs/op, one line per run, grouped by name.
+awk '$1 ~ /^Benchmark/ && $4 == "ns/op" {
+	name = $1; sub(/-[0-9]+$/, "", name)
+	print name, $3, $5, $7
+}' "$raw" | sort -k1,1 -s | awk '
+function median(a, k,    i, j, t) {
+	for (i = 2; i <= k; i++)
+		for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+	return (k % 2) ? a[(k + 1) / 2] : (a[k / 2] + a[k / 2 + 1]) / 2
+}
+function flush() {
+	if (k == 0) return
+	mns = median(ns, k); mb = median(bop, k); ma = median(al, k)
+	printf "{\"name\": \"%s\", \"runs\": %d, \"ns_op\": {\"median\": %d, \"min\": %d, \"max\": %d}, \"b_op\": {\"median\": %d, \"min\": %d}, \"allocs_op\": {\"median\": %d, \"min\": %d}}\n",
+		cur, k, mns, ns[1], ns[k], mb, bop[1], ma, al[1]
+}
+$1 != cur { flush(); cur = $1; k = 0 }
+{ k++; ns[k] = $2; bop[k] = $3; al[k] = $4 }
+END { flush() }'
