@@ -14,7 +14,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/runs                  submit a spec (JSON body); 201 new, 200 duplicate
+//	POST /v1/runs                  submit a spec (JSON body ≤ 1 MiB); 201 new, 200 duplicate
 //	GET  /v1/runs                  list runs in submission order
 //	GET  /v1/runs/{id}             one run's status, counters, and event log
 //	GET  /v1/runs/{id}/result      rendered tables; ?format=text|markdown|csv
@@ -111,10 +111,20 @@ type submitResponse struct {
 	Existing bool         `json:"existing"`
 }
 
+// maxSpecBytes caps a POST /v1/runs body. A spec is a selection list plus
+// at most one scenario, a few kB at most; anything past 1 MiB is refused
+// with 413 before it is buffered.
+const maxSpecBytes = 1 << 20
+
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
-	spec, err := runsvc.ParseSpec(r.Body)
+	spec, err := runsvc.ParseSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
 		return
 	}
 	run, existing, err := s.svc.Submit(spec)

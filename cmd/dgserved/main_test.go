@@ -277,6 +277,41 @@ func TestServeValidation(t *testing.T) {
 	waitMerged(t, ts, sr.ID)
 }
 
+// TestServeBodyLimit pins the submit body cap: a spec body over 1 MiB is
+// refused with 413 and the usual JSON error body, while a body of exactly
+// 1 MiB is still parsed (and here rejected on its content).
+func TestServeBodyLimit(t *testing.T) {
+	ts, _ := newTestServer(t, "")
+	post := func(body string) (int, errorResponse) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatalf("status %d: error body is not JSON: %v", resp.StatusCode, err)
+		}
+		return resp.StatusCode, er
+	}
+
+	huge := `{"experiments": ["` + strings.Repeat("x", maxSpecBytes) + `"]}`
+	code, er := post(huge)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", code)
+	}
+	if !strings.Contains(er.Error, "too large") {
+		t.Errorf("oversized body: error %q, want mention of the size limit", er.Error)
+	}
+
+	spec := `{"experiments": ["F1"]}`
+	code, er = post(strings.Repeat(" ", maxSpecBytes-len(spec)) + spec)
+	if code != http.StatusBadRequest || !strings.Contains(er.Error, `unknown experiment "F1"`) {
+		t.Errorf("1 MiB body: status %d, error %q, want 400 on the unknown experiment", code, er.Error)
+	}
+}
+
 // gatedRunner holds Execute until released, so tests can observe a run in a
 // non-terminal state without racing the (fast) quick experiments.
 type gatedRunner struct {

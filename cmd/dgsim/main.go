@@ -92,12 +92,11 @@ func run(args []string) error {
 		rec = &radio.MemRecorder{}
 	}
 	cfg := radio.Config{
-		Algorithm:      alg,
-		Spec:           spec,
-		Link:           link,
-		Seed:           *seed,
-		MaxRounds:      budget,
-		UseCliqueCover: true,
+		Algorithm: alg,
+		Spec:      spec,
+		Link:      link,
+		Seed:      *seed,
+		MaxRounds: budget,
 	}
 	if epochs != nil {
 		cfg.Epochs = epochs

@@ -63,13 +63,12 @@ func main() {
 			var rounds []float64
 			for seed := uint64(1); seed <= trials; seed++ {
 				res, err := radio.Run(radio.Config{
-					Net:            net,
-					Algorithm:      alg,
-					Spec:           radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
-					Link:           adv.link,
-					Seed:           seed,
-					MaxRounds:      400 * n,
-					UseCliqueCover: true,
+					Net:       net,
+					Algorithm: alg,
+					Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
+					Link:      adv.link,
+					Seed:      seed,
+					MaxRounds: 400 * n,
 				})
 				if err != nil {
 					log.Fatal(err)

@@ -40,13 +40,12 @@ func main() {
 		const trials = 5
 		for seed := uint64(1); seed <= trials; seed++ {
 			res, err := radio.Run(radio.Config{
-				Net:            net,
-				Algorithm:      gossip.TDM{},
-				Spec:           radio.Spec{Problem: radio.Gossip, Sources: sources},
-				Link:           link,
-				Seed:           seed,
-				MaxRounds:      4000 * n,
-				UseCliqueCover: true,
+				Net:       net,
+				Algorithm: gossip.TDM{},
+				Spec:      radio.Spec{Problem: radio.Gossip, Sources: sources},
+				Link:      link,
+				Seed:      seed,
+				MaxRounds: 4000 * n,
 			})
 			if err != nil {
 				log.Fatal(err)
@@ -65,13 +64,12 @@ func main() {
 	alg := gossip.LeaderElect{RankSeed: 2026}
 	leader := alg.Leader(n)
 	res, err := radio.Run(radio.Config{
-		Net:            net,
-		Algorithm:      alg,
-		Spec:           radio.Spec{Problem: radio.GlobalBroadcast, Source: leader},
-		Link:           link,
-		Seed:           9,
-		MaxRounds:      400 * n,
-		UseCliqueCover: true,
+		Net:       net,
+		Algorithm: alg,
+		Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: leader},
+		Link:      link,
+		Seed:      9,
+		MaxRounds: 400 * n,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -110,13 +110,12 @@ func TestTargetedSuppressesVictimEdges(t *testing.T) {
 func TestPermutedGlobalSolvesUnderBurstyLoss(t *testing.T) {
 	d, _ := graph.DualClique(128, 3)
 	res, err := radio.Run(radio.Config{
-		Net:            d,
-		Algorithm:      core.PermutedGlobal{},
-		Spec:           radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
-		Link:           BurstyLoss{P: 0.5, Burst: 16},
-		Seed:           5,
-		MaxRounds:      50000,
-		UseCliqueCover: true,
+		Net:       d,
+		Algorithm: core.PermutedGlobal{},
+		Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
+		Link:      BurstyLoss{P: 0.5, Burst: 16},
+		Seed:      5,
+		MaxRounds: 50000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,13 +130,12 @@ func TestDecayGlobalSolvesUnderTargeted(t *testing.T) {
 	// broadcast must still complete (only slower).
 	d, m := graph.DualClique(64, 3)
 	res, err := radio.Run(radio.Config{
-		Net:            d,
-		Algorithm:      core.DecayGlobal{},
-		Spec:           radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
-		Link:           Targeted{Victims: []graph.NodeID{m.TA, m.TB}},
-		Seed:           2,
-		MaxRounds:      50000,
-		UseCliqueCover: true,
+		Net:       d,
+		Algorithm: core.DecayGlobal{},
+		Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
+		Link:      Targeted{Victims: []graph.NodeID{m.TA, m.TB}},
+		Seed:      2,
+		MaxRounds: 50000,
 	})
 	if err != nil {
 		t.Fatal(err)

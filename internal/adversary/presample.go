@@ -153,7 +153,6 @@ func (a Presample) sampleOnce(env *radio.Env, horizon int, label uint64) []int {
 		MaxRounds:        budget,
 		Recorder:         rec,
 		IgnoreCompletion: true, // labels must cover the whole horizon
-		UseCliqueCover:   true,
 	}
 	// Pre-simulate under the execution's own topology schedule: per-epoch
 	// transmitter counts, not epoch-0-only ones. Static runs keep the

@@ -32,13 +32,12 @@ func dualCliqueGlobalCfg(n int, alg radio.Algorithm, link any) func(uint64) radi
 	return func(seed uint64) radio.Config {
 		d, _ := graph.DualClique(n, 3)
 		return radio.Config{
-			Net:            d,
-			Algorithm:      alg,
-			Spec:           radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
-			Link:           link,
-			Seed:           seed,
-			MaxRounds:      400 * n,
-			UseCliqueCover: true,
+			Net:       d,
+			Algorithm: alg,
+			Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
+			Link:      link,
+			Seed:      seed,
+			MaxRounds: 400 * n,
 		}
 	}
 }
@@ -136,13 +135,12 @@ func TestRoundRobinImmuneToJam(t *testing.T) {
 		b = append(b, u)
 	}
 	res, err := radio.Run(radio.Config{
-		Net:            d,
-		Algorithm:      core.RoundRobin{},
-		Spec:           radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: b},
-		Link:           Jam{},
-		Seed:           1,
-		MaxRounds:      128,
-		UseCliqueCover: true,
+		Net:       d,
+		Algorithm: core.RoundRobin{},
+		Spec:      radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: b},
+		Link:      Jam{},
+		Seed:      1,
+		MaxRounds: 128,
 	})
 	if err != nil {
 		t.Fatal(err)

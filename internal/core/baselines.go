@@ -101,13 +101,6 @@ func (p *roundRobinProc) Deliver(r int, msg *radio.Message) {
 	}
 }
 
-// Frame implements radio.BulkStepper: the transmit decision is a 0/1
-// probability (deterministic turn-taking), never a real coin, and the frame
-// is the held message.
-func (p *roundRobinProc) Frame(int) *radio.Message { return p.msg }
-
-var _ radio.BulkStepper = (*roundRobinProc)(nil)
-
 // Aloha is the uncoordinated fixed-probability local broadcast baseline:
 // every broadcaster transmits each round with the same probability P. With
 // P = 0 a sensible default of 1/2 is used. Aloha exhibits the
@@ -192,9 +185,3 @@ func (p *alohaProc) Step(r int, rng *bitrand.Source) radio.Action {
 
 // Deliver implements radio.Process.
 func (p *alohaProc) Deliver(int, *radio.Message) {}
-
-// Frame implements radio.BulkStepper: Step is exactly one fixed-probability
-// coin transmitting the broadcaster's own frame.
-func (p *alohaProc) Frame(int) *radio.Message { return p.msg }
-
-var _ radio.BulkStepper = (*alohaProc)(nil)

@@ -146,13 +146,6 @@ func (p *decayGlobalProc) Deliver(r int, msg *radio.Message) {
 	p.informedAt = r + 1 // usable from the next round
 }
 
-// Frame implements radio.BulkStepper: Step is exactly one TransmitProb(r)
-// coin (the source's deterministic round-0 transmission is probability 1,
-// which draws no bits either way) transmitting the held message.
-func (p *decayGlobalProc) Frame(int) *radio.Message { return p.msg }
-
-var _ radio.BulkStepper = (*decayGlobalProc)(nil)
-
 // DecayLocal is the decay-based local broadcast of [8] for the protocol
 // model: each broadcaster cycles through the probabilities 1/2, ...,
 // 2^{-(log Δ + 1)} in lockstep, one per round, repeating forever. For every
@@ -238,12 +231,6 @@ func (p *decayLocalProc) Step(r int, rng *bitrand.Source) radio.Action {
 // Deliver implements radio.Process.
 func (p *decayLocalProc) Deliver(int, *radio.Message) {}
 
-// Frame implements radio.BulkStepper: Step is exactly one prob(r) coin
-// transmitting the broadcaster's own frame.
-func (p *decayLocalProc) Frame(int) *radio.Message { return p.msg }
-
-var _ radio.BulkStepper = (*decayLocalProc)(nil)
-
 // silentProc is a node with no role: it listens forever.
 type silentProc struct{}
 
@@ -255,8 +242,3 @@ func (silentProc) Step(int, *bitrand.Source) radio.Action { return radio.Listen(
 
 // Deliver implements radio.Process.
 func (silentProc) Deliver(int, *radio.Message) {}
-
-// Frame implements radio.BulkStepper: probability 0, so it is never asked.
-func (silentProc) Frame(int) *radio.Message { return nil }
-
-var _ radio.BulkStepper = silentProc{}

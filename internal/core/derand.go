@@ -23,9 +23,8 @@ import (
 // presimulates the algorithm predicts it exactly, and so gains nothing over
 // what it could precompute from the graph — and it is also why the detrand
 // analyzer passes over this file with no allowances: there is nothing to
-// allow. With transmit probabilities always 0 or 1, the BulkStepper coin
-// draws no bits, and with no construction coins the process arena reset is
-// trivially faithful.
+// allow. Step flips no coin, and with no construction coins the process
+// arena reset is trivially faithful.
 type DerandBroadcast struct{}
 
 var _ radio.ProcessFactory = DerandBroadcast{}
@@ -119,10 +118,6 @@ func (p *derandProc) Deliver(r int, msg *radio.Message) {
 	}
 }
 
-// Frame implements radio.BulkStepper: the transmit decision is a 0/1
-// probability, never a real coin, and the frame is the held message.
-func (p *derandProc) Frame(int) *radio.Message { return p.msg }
-
 // OnEpoch implements radio.EpochAware: topology churn re-keys the
 // decomposition to the new revision's memo, the same way the engine re-keys
 // the clique cover at an epoch swap. Held messages persist — nodes survive
@@ -131,7 +126,4 @@ func (p *derandProc) OnEpoch(epoch int, net *graph.Dual) {
 	p.dec = graph.DecompositionOf(net.G())
 }
 
-var (
-	_ radio.BulkStepper = (*derandProc)(nil)
-	_ radio.EpochAware  = (*derandProc)(nil)
-)
+var _ radio.EpochAware = (*derandProc)(nil)

@@ -156,7 +156,7 @@ func TestDerandOnEpoch(t *testing.T) {
 // derandReference is the naive single-threaded oracle for a derand
 // execution: it re-derives the deterministic schedule directly from the
 // decomposition and computes every round's deliveries by enumeration
-// (radio.ReferenceDeliveries), with none of the engine's plans, bulk paths,
+// (radio.ReferenceDeliveries), with none of the engine's plans, covers,
 // arenas, or monitors. Epoch swaps re-key the decomposition at the boundary
 // exactly as OnEpoch does.
 type derandReference struct {

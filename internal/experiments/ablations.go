@@ -46,7 +46,7 @@ func runPermutationAblation(cfg Config) (*Result, error) {
 				Net: d, Algorithm: alg,
 				Spec: radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
 				Link: adversary.Presample{C: 1, Horizon: 4 * n},
-				Seed: seed, MaxRounds: 400 * n, UseCliqueCover: true,
+				Seed: seed, MaxRounds: 400 * n,
 			}
 		}, func(out trialOutcome) {
 			medians[alg.Name()] = out.MedianRounds

@@ -280,7 +280,7 @@ func runContention(cfg Config) (*Result, error) {
 					Spec:      spec,
 					Link:      adversary.RandomLoss{P: 0.5},
 					Seed:      base + uint64(i) + 1,
-					MaxRounds: maxRounds, UseCliqueCover: true,
+					MaxRounds: maxRounds,
 				})
 				if err != nil {
 					return nil, err

@@ -57,7 +57,7 @@ func runGossipExt(cfg Config) (*Result, error) {
 					Algorithm: gossip.TDM{},
 					Spec:      radio.Spec{Problem: radio.Gossip, Sources: sources},
 					Link:      adversary.RandomLoss{P: 0.5},
-					Seed:      seed, MaxRounds: 4000 * n, UseCliqueCover: true,
+					Seed:      seed, MaxRounds: 4000 * n,
 				}
 			}, func(out trialOutcome) {
 				res.Table.AddRow(n, k, out.MedianRounds, out.MedianRounds/float64(k),
@@ -114,7 +114,7 @@ func runLeaderExt(cfg Config) (*Result, error) {
 				Algorithm: alg,
 				Spec:      radio.Spec{Problem: radio.GlobalBroadcast, Source: leader},
 				Link:      adversary.RandomLoss{P: 0.5},
-				Seed:      seed, MaxRounds: 400 * n, UseCliqueCover: true,
+				Seed:      seed, MaxRounds: 400 * n,
 			}
 		}, func(out trialOutcome) {
 			if out.Solved < out.Trials {

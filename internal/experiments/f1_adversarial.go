@@ -115,7 +115,7 @@ func runDualCliqueScaling(cfg Config, id, claim string, problem radio.Problem, l
 		sw.point(cfg.trials(), func(seed uint64) radio.Config {
 			return radio.Config{
 				Net: d, Algorithm: alg, Spec: spec, Link: link,
-				Seed: seed, MaxRounds: 400 * n, UseCliqueCover: true,
+				Seed: seed, MaxRounds: 400 * n,
 			}
 		}, func(out trialOutcome) {
 			res.Table.AddRow(alg.Name(), n, out.MedianRounds, out.P90, out.MedianRounds/float64(n),
@@ -166,7 +166,7 @@ func runObliviousGlobal(cfg Config) (*Result, error) {
 					return radio.Config{
 						Net: d, Algorithm: alg,
 						Spec: radio.Spec{Problem: radio.GlobalBroadcast, Source: 0},
-						Link: link, Seed: seed, MaxRounds: 400 * n, UseCliqueCover: true,
+						Link: link, Seed: seed, MaxRounds: 400 * n,
 					}
 				}, func(out trialOutcome) {
 					res.Table.AddRow(alg.Name(), advName, n, out.MedianRounds, out.P90,

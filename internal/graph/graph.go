@@ -33,7 +33,7 @@ type Graph struct {
 	offs  []int32 // len n+1; offs[u+1]-offs[u] = deg(u)
 	adj   []NodeID
 
-	// cover memoizes BuildCliqueCover(g) (see CliqueCoverOf); graphs are
+	// cover memoizes the clique cover verdict (see CliqueCoverOf); graphs are
 	// immutable, so the cover is computed at most once per graph and shared
 	// by every trial that runs on it.
 	cover coverCache

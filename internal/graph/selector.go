@@ -136,24 +136,32 @@ type CliqueCover struct {
 	Residual []EdgeKey
 }
 
-// coverCache memoizes a graph's greedy clique cover (see CliqueCoverOf).
+// coverCache memoizes a graph's clique-structure verdict (see CliqueCoverOf).
 type coverCache struct {
 	once sync.Once
 	c    *CliqueCover
 }
 
-// CliqueCoverOf returns BuildCliqueCover(g), computed once per graph and
-// shared afterwards. Graphs are immutable and the cover construction is
-// deterministic, so trials that run on the same network reuse one cover
-// instead of rebuilding it per execution. The returned cover is read-only.
+// CliqueCoverOf returns g's greedy clique cover when G is clique-structured,
+// meaning the cover leaves at most N residual edges, and nil otherwise. On a
+// clique-structured graph the cover's per-round delivery cost is O(n), which
+// every round pays anyway; on any other graph the residual walk would cost
+// more than the CSR walk it replaces. The verdict is computed once per graph
+// and shared afterwards: graphs are immutable and the construction is
+// deterministic, so trials on the same network reuse one cover (or one nil)
+// instead of rebuilding it per execution. A rejected graph costs O(n)
+// transient memory: its residual is counted, and abandoned past N, before it
+// is materialized. The returned cover is read-only.
 func CliqueCoverOf(g *Graph) *CliqueCover {
-	g.cover.once.Do(func() { g.cover.c = BuildCliqueCover(g) })
+	g.cover.once.Do(func() { g.cover.c = BuildCliqueCover(g, g.N()) })
 	return g.cover.c
 }
 
 // BuildCliqueCover greedily covers G with cliques: repeatedly picks the
 // unassigned node of highest degree and grows a clique among its unassigned
 // neighbors. Always correct; effective when G really is clique-structured.
+// It returns nil as soon as the residual count exceeds maxResidual
+// (g.NumEdges() never does).
 //
 // Growth maintains the candidate set as a running sorted intersection of the
 // members' CSR neighbor rows: accepting member v narrows the candidates to
@@ -161,7 +169,7 @@ func CliqueCoverOf(g *Graph) *CliqueCover {
 // each candidate against every member (the acceptance predicate — adjacent
 // to all current members, scanned in ascending order — is identical) while
 // costing one merge per member instead of a HasEdge probe per pair.
-func BuildCliqueCover(g *Graph) *CliqueCover {
+func BuildCliqueCover(g *Graph, maxResidual int) *CliqueCover {
 	n := g.N()
 	cover := &CliqueCover{Of: make([]int, n)}
 	for i := range cover.Of {
@@ -208,6 +216,17 @@ func BuildCliqueCover(g *Graph) *CliqueCover {
 			cand, next = next, cand
 		}
 	}
+	residual := 0
+	for u := 0; u < n; u++ {
+		for _, v := range g.Neighbors(u) {
+			if u < v && cover.Of[u] != cover.Of[v] {
+				if residual++; residual > maxResidual {
+					return nil
+				}
+			}
+		}
+	}
+	cover.Residual = make([]EdgeKey, 0, residual)
 	g.ForEachEdge(func(u, v NodeID) {
 		if cover.Of[u] != cover.Of[v] {
 			cover.Residual = append(cover.Residual, EdgeKey{U: u, V: v})

@@ -62,7 +62,7 @@ func TestMakeEdgeKeyCanonical(t *testing.T) {
 
 func TestCliqueCoverDualClique(t *testing.T) {
 	d, _ := DualClique(32, 0)
-	c := BuildCliqueCover(d.G())
+	c := BuildCliqueCover(d.G(), d.G().NumEdges())
 	if !c.Validate(d.G()) {
 		t.Fatal("cover invalid")
 	}
@@ -76,11 +76,33 @@ func TestCliqueCoverDualClique(t *testing.T) {
 
 func TestCliqueCoverLine(t *testing.T) {
 	g := Line(10)
-	c := BuildCliqueCover(g)
+	c := BuildCliqueCover(g, g.NumEdges())
 	if !c.Validate(g) {
 		t.Fatal("cover invalid on line")
 	}
 	// Edges of a line are 2-cliques; total residual + intra == edges.
+}
+
+// TestCliqueCoverOfVerdict pins the memoized clique-structure verdict: a
+// cover with at most n residual edges is returned (the same pointer on every
+// call), and a graph whose residual exceeds n memoizes nil.
+func TestCliqueCoverOfVerdict(t *testing.T) {
+	d, _ := DualClique(32, 3)
+	c := CliqueCoverOf(d.G())
+	if c == nil || !c.Validate(d.G()) || len(c.Residual) > d.N() {
+		t.Fatalf("dual clique: cover %+v, want a valid clique-structured cover", c)
+	}
+	if CliqueCoverOf(d.G()) != c {
+		t.Fatal("dual clique: cover rebuilt instead of memoized")
+	}
+	// C_64(1..4): greedy 5-cliques leave ~2 residual edges per node.
+	circ := Circulant(64, 8)
+	if full := BuildCliqueCover(circ, circ.NumEdges()); len(full.Residual) <= circ.N() {
+		t.Fatalf("circulant residual %d, expected > n = %d", len(full.Residual), circ.N())
+	}
+	if CliqueCoverOf(circ) != nil || CliqueCoverOf(circ) != nil {
+		t.Fatal("circulant: CliqueCoverOf returned a cover past the residual bound")
+	}
 }
 
 func TestCliqueCoverRandomQuick(t *testing.T) {
@@ -89,7 +111,7 @@ func TestCliqueCoverRandomQuick(t *testing.T) {
 		n := int(raw%40) + 2
 		s := src.Split(uint64(seed))
 		g := ErdosRenyi(s, n, 0.25)
-		return BuildCliqueCover(g).Validate(g)
+		return BuildCliqueCover(g, g.NumEdges()).Validate(g)
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)

@@ -296,8 +296,9 @@ func (h hashLink) CommitSchedule(env *Env) Schedule {
 }
 
 func TestCliqueCoverEquivalence(t *testing.T) {
-	// The accelerated and generic delivery paths must produce identical
-	// executions on clique-heavy and random dual graphs.
+	// PlanAuto, which takes the clique cover on clique-structured networks,
+	// and the PlanScalar reference walk must produce identical executions on
+	// clique-heavy and random dual graphs.
 	src := bitrand.New(42)
 	nets := []*graph.Dual{}
 	d1, _ := graph.DualClique(16, 2)
@@ -308,22 +309,22 @@ func TestCliqueCoverEquivalence(t *testing.T) {
 
 	for i, net := range nets {
 		for seed := uint64(0); seed < 5; seed++ {
-			run := func(accel bool) Result {
+			run := func(plan DeliveryPlan) Result {
 				res, err := Run(Config{
-					Net:            net,
-					Algorithm:      coinAlg{p: 0.3},
-					Spec:           Spec{Problem: GlobalBroadcast, Source: 0},
-					Link:           hashLink{p: 0.5, seed: seed},
-					Seed:           seed,
-					MaxRounds:      120,
-					UseCliqueCover: accel,
+					Net:       net,
+					Algorithm: coinAlg{p: 0.3},
+					Spec:      Spec{Problem: GlobalBroadcast, Source: 0},
+					Link:      hashLink{p: 0.5, seed: seed},
+					Seed:      seed,
+					MaxRounds: 120,
+					Plan:      plan,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			plain, fast := run(false), run(true)
+			plain, fast := run(PlanScalar), run(PlanAuto)
 			if plain.Rounds != fast.Rounds || plain.Transmissions != fast.Transmissions ||
 				plain.Deliveries != fast.Deliveries || plain.Solved != fast.Solved {
 				t.Fatalf("net %d seed %d: accel mismatch: %+v vs %+v", i, seed, plain, fast)

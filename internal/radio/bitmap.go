@@ -15,24 +15,26 @@ import (
 type DeliveryPlan int
 
 const (
-	// PlanAuto (the zero value) re-derives the plan at every epoch commit:
-	// the word-parallel path when the epoch's n clears bitmapMinNodes and its
-	// estimated mask footprint fits sparseMaskMaxBytes, and the CSR walk
-	// otherwise (always with a recorder or clique cover attached). Within a
-	// bitmap epoch, rounds with fewer transmitters than the bitmap row width
-	// fall back to the CSR walk per round — the scalar walk is O(Σ deg(tx))
-	// and beats the row scans on sparse rounds.
+	// PlanAuto (the zero value) re-derives the plan at every epoch commit,
+	// and is the only plan that picks an accelerator. An epoch whose G is
+	// clique-structured (graph.CliqueCoverOf returns a cover, i.e. the greedy
+	// cover leaves at most n residual edges) takes the clique-tally walk,
+	// O(n + |X| + residual) per round. Otherwise the epoch takes the
+	// word-parallel path when its n clears bitmapMinNodes and its estimated
+	// mask footprint fits sparseMaskMaxBytes, and the CSR walk otherwise.
+	// Within a bitmap epoch, rounds with fewer transmitters than the bitmap
+	// row width fall back to the CSR walk per round — the scalar walk is
+	// O(Σ deg(tx)) and beats the row scans on sparse rounds.
 	PlanAuto DeliveryPlan = iota
-	// PlanScalar forces the CSR walk.
+	// PlanScalar forces the CSR walk, with no accelerator: the reference
+	// walk the other plans are tested against.
 	PlanScalar
 	// PlanBitmap forces the word-parallel path for every round, at any n:
 	// per-node nonzero mask blocks under a cluster-major renumbering (see
 	// graph.SparseMasksOf), with per-row and per-round occupancy summaries
 	// pruning the kernel. Rounds whose selector is neither all nor none
 	// (adaptive or committed partial selectors) have no precomputed rows and
-	// fall back to the CSR walk. With a Recorder attached, deliveries are
-	// reported in cluster-major order rather than the CSR walk's discovery
-	// order (the set of deliveries is identical).
+	// fall back to the CSR walk.
 	PlanBitmap
 )
 
@@ -64,10 +66,12 @@ const (
 
 // setupPlan derives the delivery plan for the current epoch's topology:
 // called once at engine construction and again at every epoch swap, so churn
-// re-plans at O(revision) cost. The epoch's mask rows are not touched here:
-// roundSparse hoists them on the first round that runs the kernel.
+// re-plans at O(revision) cost. The clique cover and the mask footprint
+// verdict are memoized per graph; the epoch's mask rows are not touched
+// here: roundSparse hoists them on the first round that runs the kernel.
 func (e *engine) setupPlan() {
 	e.plan = PlanScalar
+	e.accel = nil
 	e.bitmapTxMin = 0
 	e.sparseG, e.sparseGP = nil, nil
 	e.newID, e.oldID = nil, nil
@@ -75,7 +79,12 @@ func (e *engine) setupPlan() {
 	case PlanScalar:
 		return
 	case PlanAuto:
-		if e.cfg.UseCliqueCover || e.cfg.Recorder != nil || e.n < bitmapMinNodes ||
+		if c := graph.CliqueCoverOf(e.net.G()); c != nil {
+			e.accel = c
+			e.cliqueTx, e.cliqueS = e.sc.clique(c.Count)
+			return
+		}
+		if e.n < bitmapMinNodes ||
 			graph.EstimateSparseMaskBytes(e.net, e.cfg.Link != nil) > sparseMaskMaxBytes {
 			return
 		}

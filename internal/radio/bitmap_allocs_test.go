@@ -10,7 +10,7 @@ import (
 )
 
 // TestSparseDeliveryAllocs is the //dglint:noalloc gate for the block-sparse
-// delivery kernel (deliverSparse) and the bulk transmit loop: once the
+// delivery kernel (deliverSparse) and its transmitter fill: once the
 // per-graph memos (decomposition, cluster order, sparse mask rows) are warm
 // — AllocsPerRun's untimed warm-up run builds them — a bitmap-plan trial
 // must match the scalar path's whole-trial budget (TestHotPathAllocs), with

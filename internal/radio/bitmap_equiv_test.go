@@ -13,17 +13,14 @@ import (
 	"repro/internal/radio"
 )
 
-// The word-parallel delivery path must be observationally identical to the
+// The accelerated delivery paths must be observationally identical to the
 // scalar CSR walk: same transmitters, same delivery set, same monitor
 // verdicts, same per-node energy — for every adversary class and across
-// epoch swaps. These tests run each configuration under PlanScalar and
-// PlanBitmap with the same seed, compare everything the engine reports, and
-// replay every bitmap round through the naive ReferenceDeliveries oracle (a
-// three-way differential). The bitmap plan also switches the step layer from
-// the Step dispatch to the engine's bulk coin loop for BulkStepper
-// algorithms, so every configuration runs once more under PlanBitmap with
-// its processes wrapped Step-only (stepOnly): same delivery plan, other coin
-// path, identical Result required.
+// epoch swaps. These tests run each configuration under PlanScalar,
+// PlanBitmap and PlanAuto (which takes the clique cover on clique-structured
+// networks and the word-parallel path on large ones) with the same seed,
+// compare everything the engine reports, and replay every accelerated round
+// through the naive ReferenceDeliveries oracle.
 
 // fixedLink commits a static schedule replaying one selector.
 type fixedLink struct{ sel graph.EdgeSelector }
@@ -93,9 +90,9 @@ func tryPlan(cfg radio.Config, plan radio.DeliveryPlan, record bool) (radio.Resu
 }
 
 // checkReference replays every round recorded from an execution of cfg
-// through the naive oracle, on the network live at that round. Bitmap
-// rounds report deliveries in cluster-major order rather than discovery
-// order, so the lists compare as sorted sets.
+// through the naive oracle, on the network live at that round. A round's
+// deliveries are an unordered set (each plan reports them in its own walk
+// order), so the lists compare sorted.
 func checkReference(t testing.TB, cfg radio.Config, rec *radio.MemRecorder) {
 	t.Helper()
 	for _, r := range rec.Rounds {
@@ -115,68 +112,51 @@ func checkReference(t testing.TB, cfg radio.Config, rec *radio.MemRecorder) {
 	}
 }
 
-// comparePlans is the three-way differential: it runs cfg under the scalar
-// and bitmap plans with a recorder attached and fails on any observable
-// difference, replays every bitmap round through ReferenceDeliveries, and
-// runs cfg twice more without a recorder — under PlanAuto, the only way the
-// auto plan takes the bitmap path, with its per-round fallback to the CSR
-// walk below bitmapTxMin transmitters, and under PlanBitmap with the Step
-// dispatch instead of the bulk coin loop — whose Results must match too.
-// Every run must succeed. Per-round delivery lists compare as sets (see
-// checkReference).
+// comparePlans is the differential: it runs cfg under the scalar, bitmap
+// and auto plans, each with a recorder attached, fails on any observable
+// difference from the scalar run, and replays every bitmap and auto round
+// through ReferenceDeliveries. Every run must succeed. Per-round delivery
+// lists compare as sets (see checkReference).
 func comparePlans(t testing.TB, cfg radio.Config) {
 	t.Helper()
 	sres, srec, err := tryPlan(cfg, radio.PlanScalar, true)
 	if err != nil {
 		t.Fatalf("scalar: %v", err)
 	}
-	bres, brec, err := tryPlan(cfg, radio.PlanBitmap, true)
-	if err != nil {
-		t.Fatalf("bitmap: %v", err)
-	}
-	ares, _, err := tryPlan(cfg, radio.PlanAuto, false)
-	if err != nil {
-		t.Fatalf("auto: %v", err)
-	}
-	stepCfg := cfg
-	stepCfg.Algorithm = stepOnly{cfg.Algorithm}
-	stres, _, err := tryPlan(stepCfg, radio.PlanBitmap, false)
-	if err != nil {
-		t.Fatalf("bitmap, Step dispatch: %v", err)
-	}
-	if !reflect.DeepEqual(sres, bres) {
-		t.Errorf("results differ:\n scalar: %+v\n bitmap: %+v", sres, bres)
-	}
-	if !reflect.DeepEqual(sres, ares) {
-		t.Errorf("results differ:\n scalar: %+v\n auto:   %+v", sres, ares)
-	}
-	if !reflect.DeepEqual(bres, stres) {
-		t.Errorf("coin paths differ under PlanBitmap:\n bulk: %+v\n step: %+v", bres, stres)
-	}
-	if len(srec.Rounds) != len(brec.Rounds) {
-		t.Fatalf("round counts differ: scalar %d, bitmap %d", len(srec.Rounds), len(brec.Rounds))
-	}
-	for i := range srec.Rounds {
-		sr, br := srec.Rounds[i], brec.Rounds[i]
-		if !reflect.DeepEqual(sr.Transmitters, br.Transmitters) {
-			t.Fatalf("round %d transmitters differ: scalar %v, bitmap %v", sr.Round, sr.Transmitters, br.Transmitters)
+	for _, plan := range []radio.DeliveryPlan{radio.PlanBitmap, radio.PlanAuto} {
+		res, rec, err := tryPlan(cfg, plan, true)
+		if err != nil {
+			t.Fatalf("%v: %v", plan, err)
 		}
-		if sr.SelectorKind != br.SelectorKind {
-			t.Fatalf("round %d selector kind differs: scalar %q, bitmap %q", sr.Round, sr.SelectorKind, br.SelectorKind)
+		if !reflect.DeepEqual(sres, res) {
+			t.Errorf("results differ:\n PlanScalar: %+v\n %v: %+v", sres, plan, res)
 		}
-		radio.SortDeliveries(sr.Deliveries)
-		radio.SortDeliveries(br.Deliveries)
-		if !reflect.DeepEqual(sr.Deliveries, br.Deliveries) {
-			t.Fatalf("round %d deliveries differ:\n scalar: %v\n bitmap: %v", sr.Round, sr.Deliveries, br.Deliveries)
+		if len(srec.Rounds) != len(rec.Rounds) {
+			t.Fatalf("round counts differ: PlanScalar %d, %v %d", len(srec.Rounds), plan, len(rec.Rounds))
 		}
+		for i := range srec.Rounds {
+			sr, pr := srec.Rounds[i], rec.Rounds[i]
+			if !reflect.DeepEqual(sr.Transmitters, pr.Transmitters) {
+				t.Fatalf("round %d transmitters differ: PlanScalar %v, %v %v", sr.Round, sr.Transmitters, plan, pr.Transmitters)
+			}
+			if sr.SelectorKind != pr.SelectorKind {
+				t.Fatalf("round %d selector kind differs: PlanScalar %q, %v %q", sr.Round, sr.SelectorKind, plan, pr.SelectorKind)
+			}
+			radio.SortDeliveries(sr.Deliveries)
+			radio.SortDeliveries(pr.Deliveries)
+			if !reflect.DeepEqual(sr.Deliveries, pr.Deliveries) {
+				t.Fatalf("round %d deliveries differ:\n PlanScalar: %v\n %v: %v", sr.Round, sr.Deliveries, plan, pr.Deliveries)
+			}
+		}
+		checkReference(t, cfg, rec)
 	}
-	checkReference(t, cfg, brec)
 }
 
 // largeDuals returns substrates above the auto plan's node floor
-// (bitmapMinNodes = 2048), where an unrecorded PlanAuto run takes the bitmap
-// path: a reliable circulant and a ring-with-chords core with sampled
-// unreliable extras. Built once and shared by the tests that need them.
+// (bitmapMinNodes = 2048), where PlanAuto takes the bitmap path: a reliable
+// circulant and a ring-with-chords core with sampled unreliable extras,
+// neither clique-structured. Built once and shared by the tests that need
+// them.
 var largeDuals = sync.OnceValues(func() (*graph.Dual, *graph.Dual) {
 	src := bitrand.New(0xba7c4)
 	return graph.UniformDual(graph.Circulant(2500, 320)),
@@ -187,6 +167,7 @@ func TestBitmapScalarEquivalence(t *testing.T) {
 	d := denseDual(t, 96, 10, 400, 0x5ca1e)
 	global := radio.Spec{Problem: radio.GlobalBroadcast, Source: 3}
 	local := radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: []graph.NodeID{0, 7, 19, 40, 66, 91}}
+	dc, _ := graph.DualClique(64, 5)
 	circ, chords := largeDuals()
 	var everyEighth []graph.NodeID
 	for u := 0; u < chords.N(); u += 8 {
@@ -222,9 +203,22 @@ func TestBitmapScalarEquivalence(t *testing.T) {
 			Net: d, Algorithm: core.DecayLocal{}, Spec: local,
 			Link: flickerLink{}, Seed: 16, MaxRounds: 160,
 		}},
+		// The paper's dual clique is clique-structured: the auto runs take
+		// the clique cover, under every selector shape.
+		{"dual-clique-flicker", radio.Config{
+			Net: dc, Algorithm: core.DecayGlobal{},
+			Spec: radio.Spec{Problem: radio.GlobalBroadcast, Source: 9},
+			Link: flickerLink{}, Seed: 18, MaxRounds: 160,
+		}},
+		{"dual-clique-aloha-set", radio.Config{
+			Net: dc, Algorithm: core.Aloha{P: 0.1},
+			Spec: radio.Spec{Problem: radio.LocalBroadcast, Broadcasters: []graph.NodeID{0, 7, 19, 40, 50}},
+			Link: fixedLink{graph.NewSelectSet(halfExtraEdges(dc))}, Seed: 19, MaxRounds: 120,
+			IgnoreCompletion: true,
+		}},
 		// Above the node floor. A decay trickle from one source spends its
 		// early rounds under bitmapTxMin (CSR walk) and its later rounds on
-		// the kernel under the unrecorded auto run.
+		// the kernel under the auto run.
 		{"auto-below-tx-min", radio.Config{
 			Net: circ, Algorithm: core.DecayGlobal{},
 			Spec: radio.Spec{Problem: radio.GlobalBroadcast, Source: 7},
@@ -312,20 +306,61 @@ func TestBitmapMatchesReference(t *testing.T) {
 	checkReference(t, cfg, rec)
 }
 
+// cliqueChain builds a clique-structured reliable graph on n ≥ 8 nodes: b
+// cliques of at least k ≥ 3 consecutive nodes, chained into a ring by b
+// connector nodes (the highest ids), each adjacent to one random node of
+// clique j and one of clique j+1. Connectors have the lowest degree and the
+// highest ids, so the greedy cover keeps every clique whole and the residual
+// is the ≤ 2b ≤ n/2 connector edges: PlanAuto takes the clique cover.
+func cliqueChain(src *bitrand.Source, n, k int) *graph.Graph {
+	b := max(1, n/(k+1))
+	core := n - b
+	lo := func(j int) int { return j * core / b }
+	g := graph.NewBuilder(n)
+	for j := 0; j < b; j++ {
+		for u := lo(j); u < lo(j+1); u++ {
+			for v := u + 1; v < lo(j+1); v++ {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	pick := func(j int) int { return lo(j) + src.Intn(lo(j+1)-lo(j)) }
+	for j := 0; j < b; j++ {
+		g.AddEdge(core+j, pick(j))
+		g.AddEdge(core+j, pick((j+1)%b))
+	}
+	return g.Build()
+}
+
 // FuzzBitmapScalarEquivalence is the differential fuzzer: random sparse-ish
-// duals, every adversary shape, scalar vs bitmap vs the reference oracle per
-// round (comparePlans). Wired into the CI fuzz-smoke job.
+// duals and clique-structured ones (selKind/5 odd: a cliqueChain core, on
+// which PlanAuto takes the clique cover), every adversary shape, scalar vs
+// bitmap vs auto vs the reference oracle per round (comparePlans). Wired
+// into the CI fuzz-smoke job.
 func FuzzBitmapScalarEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint16(40), uint16(120), uint8(0), false)
 	f.Add(uint64(2), uint16(100), uint16(0), uint16(300), uint8(1), true)
 	f.Add(uint64(3), uint16(33), uint16(50), uint16(80), uint8(2), false)
 	f.Add(uint64(4), uint16(150), uint16(10), uint16(500), uint8(3), true)
 	f.Add(uint64(5), uint16(70), uint16(70), uint16(0), uint8(4), false)
+	f.Add(uint64(6), uint16(90), uint16(12), uint16(200), uint8(6), false)
+	f.Add(uint64(7), uint16(120), uint16(30), uint16(400), uint8(8), true)
+	f.Add(uint64(8), uint16(60), uint16(5), uint16(150), uint8(9), false)
 	f.Fuzz(func(t *testing.T, seed uint64, n, chords, extra uint16, selKind uint8, local bool) {
 		nn := 8 + int(n)%250
 		var src bitrand.Source
 		src.Reseed(seed)
-		d := graph.AugmentDual(&src, graph.RingChords(&src, nn, int(chords)%256), int(extra)%600)
+		var d *graph.Dual
+		if selKind/5%2 == 1 {
+			k := 3 + int(chords)%14
+			g := cliqueChain(&src, nn, k)
+			if graph.CliqueCoverOf(g) == nil {
+				t.Fatalf("cliqueChain(%d, %d) is not clique-structured", nn, k)
+			}
+			d = graph.AugmentDual(&src, g, int(extra)%600)
+		} else {
+			d = graph.AugmentDual(&src, graph.RingChords(&src, nn, int(chords)%256), int(extra)%600)
+		}
 
 		var link any
 		switch selKind % 5 {
@@ -417,13 +452,6 @@ func TestPlanValidation(t *testing.T) {
 		if _, err := radio.Run(cfg); !errors.Is(err, radio.ErrBadConfig) {
 			t.Errorf("out-of-range plan %d: got err %v, want ErrBadConfig", plan, err)
 		}
-	}
-
-	cfg := base
-	cfg.Plan = radio.PlanBitmap
-	cfg.UseCliqueCover = true
-	if _, err := radio.Run(cfg); !errors.Is(err, radio.ErrBadConfig) {
-		t.Errorf("PlanBitmap+UseCliqueCover: got err %v, want ErrBadConfig", err)
 	}
 
 	for plan, want := range map[radio.DeliveryPlan]string{

@@ -65,10 +65,6 @@ type Config struct {
 	Plan DeliveryPlan
 	// Recorder, when non-nil, receives per-round trace records.
 	Recorder Recorder
-	// UseCliqueCover enables the clique-tally delivery accelerator, which
-	// helps on clique-structured networks (dual clique). Delivery semantics
-	// are identical either way.
-	UseCliqueCover bool
 	// IgnoreCompletion runs the full MaxRounds budget even after the problem
 	// is solved. Sampling adversaries use it so their presimulations cover
 	// the whole horizon; Result.Solved and the completion fields still
@@ -158,6 +154,8 @@ type engine struct {
 	// what static trials do.
 	view View
 
+	// accel is the epoch's clique cover when setupPlan chose it (PlanAuto
+	// on a clique-structured G), nil otherwise.
 	accel *graph.CliqueCover
 
 	// Flat CSR adjacency of the network, hoisted out of the Dual so the
@@ -176,8 +174,6 @@ type engine struct {
 	// permutation pair they are stored under, sumShift the
 	// region shift of the per-row occupancy summaries, and txSumm the
 	// current round's transmitter-side summary, rebuilt by every fill.
-	// bulkSteps[u] is non-nil when procs[u] implements BulkStepper; allBulk
-	// reports whether every entry is.
 	plan        DeliveryPlan
 	bitmapTxMin int
 	txWords     []uint64
@@ -187,8 +183,6 @@ type engine struct {
 	oldID       []graph.NodeID
 	sumShift    uint
 	txSumm      uint64
-	bulkSteps   []BulkStepper
-	allBulk     bool
 
 	txByNode []int64
 
@@ -257,9 +251,6 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.Plan < PlanAuto || cfg.Plan > PlanBitmap {
 		return nil, fmt.Errorf("%w: unknown delivery plan %d", ErrBadConfig, cfg.Plan)
 	}
-	if cfg.Plan == PlanBitmap && cfg.UseCliqueCover {
-		return nil, fmt.Errorf("%w: %v and UseCliqueCover are mutually exclusive delivery accelerators", ErrBadConfig, cfg.Plan)
-	}
 	e := &engine{cfg: cfg, net: cfg.Net, n: n, epochs: cfg.Epochs, sc: getScratch(n)}
 	//dglint:allow viewescape: engine-owned hoist, re-synced by swapEpoch at every epoch boundary
 	e.gOffs, e.gAdj = cfg.Net.G().CSR()
@@ -298,17 +289,12 @@ func newEngine(cfg Config) (*engine, error) {
 		}
 	}
 	e.probers = e.sc.probers
-	e.bulkSteps = e.sc.bulkSteps
-	e.allBulk = true
 	for u, p := range e.procs {
 		if tp, ok := p.(TransmitProber); ok {
 			e.probers[u] = tp
 		} else {
 			e.probers[u] = nil
 		}
-		bs, ok := p.(BulkStepper)
-		e.bulkSteps[u] = bs
-		e.allBulk = e.allBulk && ok
 	}
 	e.nodeRngs = e.sc.nodeRngs
 	for u := range e.nodeRngs {
@@ -360,12 +346,6 @@ func newEngine(cfg Config) (*engine, error) {
 		}
 	}
 
-	if cfg.UseCliqueCover {
-		// Memoized per graph: repeated trials on the same network share one
-		// cover instead of rebuilding it per execution.
-		e.accel = graph.CliqueCoverOf(cfg.Net.G())
-	}
-
 	e.txFlag = e.sc.txFlag
 	e.txByNode = e.sc.txByNode
 	e.counts = e.sc.counts
@@ -377,9 +357,6 @@ func newEngine(cfg Config) (*engine, error) {
 	e.lastTx = e.sc.lastTx[:0]
 	e.noise = e.sc.noise
 	e.recordBuf = e.sc.recordBuf[:0]
-	if e.accel != nil {
-		e.cliqueTx, e.cliqueS = e.sc.clique(e.accel.Count)
-	}
 
 	e.setupPlan()
 	return e, nil
@@ -424,14 +401,14 @@ func (e *engine) run() (Result, error) {
 }
 
 // swapEpoch advances to the next epoch of the topology schedule: the
-// current network pointer and its hoisted CSR views change, and the clique
-// cover accelerator re-keys to the new revision (CliqueCoverOf memoizes per
-// graph, so repeated trials over one schedule share the covers). Process and
-// monitor state is untouched — nodes persist across topology churn. The
-// adversary Env is deliberately untouched too: Env.Net stays pinned to the
-// epoch-0 base (its documented contract) while adaptive links track the
-// swap through View.EpochIdx/View.Net, which step rebuilds from e.epochIdx
-// and e.net every round.
+// current network pointer and its hoisted CSR views change, and the delivery
+// plan, clique cover included, is re-derived for the new revision
+// (CliqueCoverOf memoizes per graph, so repeated trials over one schedule
+// share the covers). Process and monitor state is untouched — nodes persist
+// across topology churn. The adversary Env is deliberately untouched too:
+// Env.Net stays pinned to the epoch-0 base (its documented contract) while
+// adaptive links track the swap through View.EpochIdx/View.Net, which step
+// rebuilds from e.epochIdx and e.net every round.
 //
 //dglint:noalloc gate=TestHotPathAllocs
 func (e *engine) swapEpoch() {
@@ -442,13 +419,9 @@ func (e *engine) swapEpoch() {
 	e.gOffs, e.gAdj = net.G().CSR()
 	//dglint:allow viewescape: this is the epoch-boundary re-hoist the contract requires
 	e.exOffs, e.exAdj = net.ExtraCSR()
-	if e.cfg.UseCliqueCover {
-		e.accel = graph.CliqueCoverOf(net.G())
-		e.cliqueTx, e.cliqueS = e.sc.clique(e.accel.Count)
-	}
-	// Re-derive the delivery plan for the new topology: the mask footprint
-	// can differ per revision, and the mask rows (memoized per network) must
-	// re-hoist exactly like the CSR views above.
+	// Re-derive the delivery plan for the new topology: clique structure and
+	// the mask footprint can differ per revision, and the cover and mask rows
+	// (memoized per network) must re-hoist exactly like the CSR views above.
 	e.setupPlan()
 	// Epoch-aware processes re-key their own topology-derived structure
 	// (e.g. the derand decomposition memo). The type assertion allocates
@@ -533,44 +506,24 @@ func (e *engine) step(r int, res *Result) {
 		selector = e.online.ChooseOnline(e.env, view)
 	}
 
-	// 2. Flip the coins: every process steps. When every process is a
-	// BulkStepper and the bitmap plan is active, the engine runs the round's
-	// Bernoulli trials itself — same per-node streams, same ascending order,
-	// so the draws are bit-for-bit identical to the Step dispatch — and
-	// fills the transmit set without constructing Actions.
+	// 2. Flip the coins: every process steps, in ascending node order, on
+	// its own stream.
 	e.tx = e.tx[:0]
-	switch {
-	case e.allBulk && e.plan != PlanScalar:
-		for u, bs := range e.bulkSteps {
-			if e.nodeRngs[u].Coin(bs.TransmitProb(r)) {
-				msg := bs.Frame(r)
-				if msg == nil {
-					msg = &e.noise[u]
-				}
-				e.tx = append(e.tx, u)
-				e.msgOf[u] = msg
-				e.txByNode[u]++
+	for u, p := range e.procs {
+		act := p.Step(r, e.nodeRngs[u])
+		if act.Transmit {
+			if act.Msg == nil {
+				// A transmission without a message is treated as noise: it
+				// occupies the channel but delivers nothing. The cached
+				// per-node frame avoids an allocation per transmission.
+				act.Msg = &e.noise[u]
 			}
+			e.tx = append(e.tx, u)
+			e.msgOf[u] = act.Msg
+			e.txByNode[u]++
 		}
-		res.Transmissions += int64(len(e.tx))
-	default:
-		for u, p := range e.procs {
-			act := p.Step(r, e.nodeRngs[u])
-			if act.Transmit {
-				if act.Msg == nil {
-					// A transmission without a message is treated as noise:
-					// it occupies the channel but delivers nothing. The
-					// cached per-node frame avoids an allocation per
-					// transmission.
-					act.Msg = &e.noise[u]
-				}
-				e.tx = append(e.tx, u)
-				e.msgOf[u] = act.Msg
-				e.txByNode[u]++
-			}
-		}
-		res.Transmissions += int64(len(e.tx))
 	}
+	res.Transmissions += int64(len(e.tx))
 
 	// 3. The offline adaptive adversary sees the realized transmitters.
 	if e.offline != nil {

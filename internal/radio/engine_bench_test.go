@@ -25,7 +25,7 @@ func (allLink) CommitSchedule(*radio.Env) radio.Schedule {
 // per-iteration seed varies so transmit patterns are realistic, not cached.
 // Run with -benchmem: allocs/op is the tracked number (BENCH_pr2.json).
 func BenchmarkEngineRoundDelivery(b *testing.B) {
-	run := func(b *testing.B, net *graph.Dual, spec radio.Spec, link any, cover bool, plan radio.DeliveryPlan) {
+	run := func(b *testing.B, net *graph.Dual, spec radio.Spec, link any, plan radio.DeliveryPlan) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -40,7 +40,6 @@ func BenchmarkEngineRoundDelivery(b *testing.B) {
 				Seed:             uint64(i),
 				MaxRounds:        256,
 				Plan:             plan,
-				UseCliqueCover:   cover,
 				IgnoreCompletion: true,
 			})
 			if err != nil {
@@ -50,16 +49,19 @@ func BenchmarkEngineRoundDelivery(b *testing.B) {
 	}
 	globalSpec := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
 
-	// The dual clique is the clique cover's home substrate; the forced
-	// bitmap row measures the word-parallel kernel against the cover on it.
+	// The dual clique is the clique cover's home substrate: the plain row is
+	// the PlanScalar CSR walk, the cover row PlanAuto (which takes the cover
+	// there), and the forced bitmap row measures the word-parallel kernel
+	// against both. The row names predate PlanAuto's cover rule, so BENCH
+	// records compare across it.
 	dc, _ := graph.DualClique(128, 3)
-	b.Run("dual-clique/n=128", func(b *testing.B) { run(b, dc, globalSpec, nil, false, radio.PlanAuto) })
-	b.Run("dual-clique/n=128/cover", func(b *testing.B) { run(b, dc, globalSpec, nil, true, radio.PlanAuto) })
-	b.Run("dual-clique/n=128/bitmap", func(b *testing.B) { run(b, dc, globalSpec, nil, false, radio.PlanBitmap) })
+	b.Run("dual-clique/n=128", func(b *testing.B) { run(b, dc, globalSpec, nil, radio.PlanScalar) })
+	b.Run("dual-clique/n=128/cover", func(b *testing.B) { run(b, dc, globalSpec, nil, radio.PlanAuto) })
+	b.Run("dual-clique/n=128/bitmap", func(b *testing.B) { run(b, dc, globalSpec, nil, radio.PlanBitmap) })
 
 	br, _ := graph.Bracelet(512, 1)
-	b.Run("bracelet/n=512", func(b *testing.B) { run(b, br, globalSpec, nil, false, radio.PlanAuto) })
-	b.Run("bracelet/n=512/all-link", func(b *testing.B) { run(b, br, globalSpec, allLink{}, false, radio.PlanAuto) })
+	b.Run("bracelet/n=512", func(b *testing.B) { run(b, br, globalSpec, nil, radio.PlanAuto) })
+	b.Run("bracelet/n=512/all-link", func(b *testing.B) { run(b, br, globalSpec, allLink{}, radio.PlanAuto) })
 
 	// Word-parallel delivery on a SCALE-class circulant: n = 10⁴, degree
 	// 2048, every node an aloha broadcaster at p = 1/2, so every round
@@ -164,9 +166,10 @@ func BenchmarkSparseDelivery(b *testing.B) {
 // BenchmarkEpochSwap measures full trials under a topology schedule against
 // the identical static trial. The revisions are precompiled once (as the
 // scenario layer does), so the only per-trial epoch cost is swapping hoisted
-// CSR views and re-keying the memoized clique cover — the tracked number is
-// allocs/op, which must stay within a few of the static path
-// (BENCH_pr4.json).
+// CSR views and re-deriving the plan. The plain rows run PlanScalar; the
+// /cover rows run PlanAuto, which re-keys the memoized clique cover of each
+// revision. The tracked number is allocs/op, which must stay within a few
+// of the static path (BENCH_pr4.json).
 func BenchmarkEpochSwap(b *testing.B) {
 	dc, _ := graph.DualClique(128, 3)
 	// Eight churn epochs inside the 256-round budget: every 32 rounds one
@@ -188,7 +191,7 @@ func BenchmarkEpochSwap(b *testing.B) {
 		epochs = append(epochs, radio.Epoch{Start: 32 * e, Net: rv.Dual()})
 	}
 	spec := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
-	run := func(b *testing.B, static bool, cover bool) {
+	run := func(b *testing.B, static bool, plan radio.DeliveryPlan) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -197,7 +200,7 @@ func BenchmarkEpochSwap(b *testing.B) {
 				Spec:             spec,
 				Seed:             uint64(i),
 				MaxRounds:        256,
-				UseCliqueCover:   cover,
+				Plan:             plan,
 				IgnoreCompletion: true,
 			}
 			if static {
@@ -210,10 +213,10 @@ func BenchmarkEpochSwap(b *testing.B) {
 			}
 		}
 	}
-	b.Run("static/n=128", func(b *testing.B) { run(b, true, false) })
-	b.Run("epochs/n=128", func(b *testing.B) { run(b, false, false) })
-	b.Run("static/n=128/cover", func(b *testing.B) { run(b, true, true) })
-	b.Run("epochs/n=128/cover", func(b *testing.B) { run(b, false, true) })
+	b.Run("static/n=128", func(b *testing.B) { run(b, true, radio.PlanScalar) })
+	b.Run("epochs/n=128", func(b *testing.B) { run(b, false, radio.PlanScalar) })
+	b.Run("static/n=128/cover", func(b *testing.B) { run(b, true, radio.PlanAuto) })
+	b.Run("epochs/n=128/cover", func(b *testing.B) { run(b, false, radio.PlanAuto) })
 }
 
 // BenchmarkContentionTrial measures a TDM gossip trial with staggered

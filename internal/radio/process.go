@@ -130,28 +130,6 @@ type TransmitProber interface {
 	TransmitProb(r int) float64
 }
 
-// BulkStepper is an optional Process extension for probability-profile
-// protocols: processes whose Step is exactly one Bernoulli trial — flip the
-// round's coin with probability TransmitProb(r) via rng.Coin (which draws no
-// bits at probability 0 or 1), transmit Frame(r) on heads, listen on tails —
-// with no other state change and no other randomness. Decay-family and
-// fixed-probability (ALOHA) processes are of this shape; processes with
-// Step-side state or extra draws must not implement it.
-//
-// When every process of an execution is a BulkStepper and the bitmap
-// delivery plan is active, the engine fills the round's transmit-bit vector
-// itself instead of dispatching Step per node. The coins come from each
-// node's own stream in ascending node order — exactly the scalar Step order
-// — so the draws are bit-for-bit identical and the two paths produce the
-// same execution (the bulk contract test enforces this).
-type BulkStepper interface {
-	Process
-	TransmitProber
-	// Frame returns the message the process would transmit on a heads coin
-	// in round r; nil means a noise transmission, as in Action.Msg.
-	Frame(r int) *Message
-}
-
 // EpochAware is an optional Process extension for algorithms that derive
 // per-topology structure (a decomposition, a schedule) from the network.
 // When an execution runs under an epoch schedule, the engine invokes OnEpoch

@@ -14,9 +14,14 @@ type Delivery struct {
 // call, and implementations that retain them (MemRecorder) must copy.
 // Streaming consumers (TxCountRecorder) read them allocation-free.
 type RoundRecord struct {
-	Round        int
+	Round int
+	// Transmitters lists the round's transmitters in ascending node order.
 	Transmitters []graph.NodeID
-	Deliveries   []Delivery
+	// Deliveries is the round's set of successful receptions, in no
+	// particular order: each delivery path reports them in its own walk
+	// order, so consumers must not depend on it (sort with SortDeliveries to
+	// compare).
+	Deliveries []Delivery
 	// SelectorKind summarizes the adversary's choice: "all", "none", or
 	// "partial".
 	SelectorKind string

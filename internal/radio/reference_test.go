@@ -29,8 +29,9 @@ func validateTrace(t *testing.T, net *graph.Dual, rec *MemRecorder, label string
 }
 
 // TestEngineMatchesReference differential-tests the engine's delivery paths
-// (generic, clique cover, complete-topology fast path) against the naive
-// reference across random networks, selectors, and algorithms.
+// (the PlanScalar CSR walk, PlanAuto's clique cover on the clique-structured
+// networks, the complete-topology fast path) against the naive reference
+// across random networks, selectors, and algorithms.
 func TestEngineMatchesReference(t *testing.T) {
 	src := bitrand.New(2024)
 	mkNets := []func(seed uint64) *graph.Dual{
@@ -60,25 +61,24 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 	for ni, mkNet := range mkNets {
 		for li, mkLink := range links {
-			for _, accel := range []bool{false, true} {
+			for _, plan := range []DeliveryPlan{PlanScalar, PlanAuto} {
 				for seed := uint64(0); seed < 3; seed++ {
 					net := mkNet(seed)
 					rec := &MemRecorder{}
 					_, err := Run(Config{
-						Net:            net,
-						Algorithm:      coinAlg{p: 0.35},
-						Spec:           Spec{Problem: GlobalBroadcast, Source: 0},
-						Link:           mkLink(seed),
-						Seed:           seed,
-						MaxRounds:      40,
-						Recorder:       rec,
-						UseCliqueCover: accel,
+						Net:       net,
+						Algorithm: coinAlg{p: 0.35},
+						Spec:      Spec{Problem: GlobalBroadcast, Source: 0},
+						Link:      mkLink(seed),
+						Seed:      seed,
+						MaxRounds: 40,
+						Recorder:  rec,
+						Plan:      plan,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := map[bool]string{true: "accel", false: "plain"}[accel]
-					validateTrace(t, net, rec, label+"-net"+itoa(ni)+"-link"+itoa(li))
+					validateTrace(t, net, rec, plan.String()+"-net"+itoa(ni)+"-link"+itoa(li))
 				}
 			}
 		}

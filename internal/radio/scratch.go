@@ -64,13 +64,11 @@ type scratch struct {
 
 	// per-node rng storage: nodeRngs[u] points into rngBlock, reseeded per
 	// execution. algRng is the algorithm-construction stream, reseeded the
-	// same way. probers and bulkSteps cache the per-node TransmitProber and
-	// BulkStepper views.
-	nodeRngs  []*bitrand.Source
-	rngBlock  []bitrand.Source
-	algRng    bitrand.Source //dglint:allow scratchreset: newEngine reseeds it before any draw, every execution
-	probers   []TransmitProber
-	bulkSteps []BulkStepper
+	// same way. probers caches the per-node TransmitProber views.
+	nodeRngs []*bitrand.Source
+	rngBlock []bitrand.Source
+	algRng   bitrand.Source //dglint:allow scratchreset: newEngine reseeds it before any draw, every execution
+	probers  []TransmitProber
 
 	// Process arena: the slab of the last execution that used this scratch,
 	// plus the identity it was built for. When the next execution matches
@@ -178,7 +176,6 @@ func (s *scratch) grow(n int) {
 		s.rngBlock = make([]bitrand.Source, n)
 		s.nodeRngs = make([]*bitrand.Source, n)
 		s.probers = make([]TransmitProber, n)
-		s.bulkSteps = make([]BulkStepper, n)
 		for u := range s.noise {
 			s.noise[u] = Message{Origin: u}
 			s.nodeRngs[u] = &s.rngBlock[u]
@@ -209,9 +206,8 @@ func (s *scratch) grow(n int) {
 	clear(s.monR)
 	s.rngBlock = s.rngBlock[:n]
 	s.nodeRngs = s.nodeRngs[:n]
-	// probers and bulkSteps need no clear: the engine writes every entry.
+	// probers needs no clear: the engine writes every entry.
 	s.probers = s.probers[:n]
-	s.bulkSteps = s.bulkSteps[:n]
 }
 
 // clique sizes the clique-cover accelerator buffers for count cliques.

@@ -42,13 +42,19 @@ type Spec struct {
 // content hash of this struct, so distinct scenarios never collide in the
 // result cache.
 type ScenarioSpec struct {
-	// Side is the grid side; the network has Side² nodes.
+	// Side is the grid side, in [2, 1000]; the network has Side² nodes.
 	Side int `json:"side"`
 	// Seed drives scenario generation (not trial seeding).
 	Seed uint64 `json:"seed,omitempty"`
 	// Gen is the churn generator config, serialized field-for-field.
 	Gen scenario.GenConfig `json:"gen"`
 }
+
+// maxScenarioSide bounds ScenarioSpec.Side: 1000² = 10⁶ nodes is the
+// largest network SCALE-n runs. A larger side would overflow Side² or have
+// the grid builder allocate for billions of points at execute time, so it
+// is refused at submit.
+const maxScenarioSide = 1000
 
 // ParseSpec decodes one spec from JSON, rejecting unknown fields and
 // trailing garbage: a typo'd knob must fail the submission, not silently run
@@ -117,6 +123,10 @@ func resolveSpec(spec Spec, catalog []experiments.Experiment) (resolved, error) 
 		sc := *spec.Scenario
 		if sc.Side < 2 {
 			return resolved{}, fmt.Errorf("runsvc: scenario side %d, need at least 2", sc.Side)
+		}
+		if sc.Side > maxScenarioSide {
+			return resolved{}, fmt.Errorf("runsvc: scenario side %d, at most %d (%d² nodes is the largest supported network)",
+				sc.Side, maxScenarioSide, maxScenarioSide)
 		}
 		if len(sc.Gen.InjectSources) > 0 {
 			return resolved{}, fmt.Errorf("runsvc: scenario runs global broadcast only; InjectSources is not supported")

@@ -70,6 +70,8 @@ func TestResolveSpecValidation(t *testing.T) {
 		{"negative trials", Spec{Trials: -1}, "trials must be >= 0"},
 		{"negative workers", Spec{Workers: -2}, "workers must be >= 0"},
 		{"tiny scenario", Spec{Scenario: &ScenarioSpec{Side: 1, Gen: scenario.GenConfig{EpochLen: 5}}}, "side 1"},
+		{"huge scenario", Spec{Scenario: &ScenarioSpec{Side: 1001, Gen: scenario.GenConfig{EpochLen: 5}}}, "side 1001"},
+		{"overflowing scenario", Spec{Scenario: &ScenarioSpec{Side: 1 << 32, Gen: scenario.GenConfig{EpochLen: 5}}}, "side 4294967296"},
 		{"scenario epoch geometry", Spec{Scenario: &ScenarioSpec{Side: 3, Gen: scenario.GenConfig{Epochs: 2}}}, "EpochLen"},
 		{"scenario injections", Spec{Scenario: &ScenarioSpec{Side: 3, Gen: scenario.GenConfig{EpochLen: 5, InjectSources: []graph.NodeID{1}}}}, "InjectSources"},
 		{"scenario protected range", Spec{Scenario: &ScenarioSpec{Side: 3, Gen: scenario.GenConfig{EpochLen: 5, Protected: []graph.NodeID{99}}}}, "out of range"},
@@ -80,6 +82,12 @@ func TestResolveSpecValidation(t *testing.T) {
 				t.Fatalf("error %v, want mention of %q", err, tc.want)
 			}
 		})
+	}
+
+	// The side bound is inclusive: SCALE-n's largest network resolves.
+	largest := Spec{Scenario: &ScenarioSpec{Side: maxScenarioSide, Gen: scenario.GenConfig{EpochLen: 5}}}
+	if _, err := resolveSpec(largest, catalog); err != nil {
+		t.Fatalf("side %d: %v", maxScenarioSide, err)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Delivery-plan benchmarks with their spread. Runs the engine's round
-# delivery benchmarks (dual clique with and without the clique cover and
-# under the forced bitmap plan, the n = 10^4 degree-2048 circulant under
+# delivery benchmarks (the dual clique under the PlanScalar reference walk,
+# under PlanAuto, which takes the clique cover there (the /cover row), and
+# under the forced bitmap plan; the n = 10^4 degree-2048 circulant under
 # every plan) and the block-sparse kernel benchmarks COUNT times each, then
 # prints one JSON object per benchmark: median, min and max ns/op, and the
 # median and min B/op and allocs/op. The min is the steady state: a run
