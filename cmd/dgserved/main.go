@@ -229,8 +229,8 @@ func (s *server) catalog(w http.ResponseWriter, r *http.Request) {
 	}
 	if t := q.Get("trials"); t != "" {
 		n := 0
-		if _, err := fmt.Sscanf(t, "%d", &n); err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("trials %q: want a non-negative integer", t))
+		if _, err := fmt.Sscanf(t, "%d", &n); err != nil || n < 0 || n > runsvc.MaxTrials {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("trials %q: want an integer in [0, %d]", t, runsvc.MaxTrials))
 			return
 		}
 		cfg.Trials = n

@@ -234,6 +234,9 @@ func TestServeValidation(t *testing.T) {
 		{"unknown field", `{"experiemnts": ["L3.2-hitting"]}`, "unknown field"},
 		{"unknown experiment", `{"experiments": ["F1"]}`, `unknown experiment "F1"`},
 		{"bad scenario", `{"scenario": {"side": 1}}`, "side 1"},
+		{"trials past the cap", `{"experiments": ["L3.2-hitting"], "trials": 10001}`, "trials must be in [0, 10000]"},
+		{"huge trials", `{"experiments": ["L3.2-hitting"], "trials": 1099511627776}`, "trials must be in [0, 10000]"},
+		{"workers past the cap", `{"experiments": ["L3.2-hitting"], "workers": 257}`, "workers must be in [0, 256]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
@@ -395,13 +398,16 @@ func TestServeCatalog(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/experiments?trials=-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative trials returned %d, want 400", resp.StatusCode)
+	// Out-of-range trial counts are refused before anything is planned.
+	for _, q := range []string{"-1", "10001", "1099511627776"} {
+		resp, err := http.Get(ts.URL + "/v1/experiments?trials=" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("trials=%s returned %d, want 400", q, resp.StatusCode)
+		}
 	}
 }
 

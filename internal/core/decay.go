@@ -74,33 +74,30 @@ func resetDecayGlobalProc(p *decayGlobalProc, u, source graph.NodeID) {
 		if p.msg == nil || p.msg.Origin != u || p.msg.Payload != nil {
 			p.msg = &radio.Message{Origin: u}
 		}
-		p.informedAt = 0
+		p.start = 0
 		p.isSource = true
 		return
 	}
 	p.msg = nil
-	p.informedAt = -1
+	p.start = -1
 	p.isSource = false
 }
 
 //dglint:pooled reset=DecayGlobal.ResetProcesses
 type decayGlobalProc struct {
-	levels     int
-	msg        *radio.Message
-	informedAt int // -1 until informed
-	isSource   bool
+	levels int
+	msg    *radio.Message
+	// start is -1 until the node is informed, then the first round it
+	// participates in: the first multiple of levels at or after the round
+	// it became informed (0 for the source, which starts immediately).
+	start    int
+	isSource bool
 }
 
 // active reports whether the node participates in round r: it must be
 // informed and past its first phase boundary after becoming informed.
 func (p *decayGlobalProc) active(r int) bool {
-	if p.informedAt < 0 {
-		return false
-	}
-	// Align to the first multiple of levels at or after informedAt, except
-	// the source (informedAt 0) which starts immediately.
-	start := ((p.informedAt + p.levels - 1) / p.levels) * p.levels
-	return r >= start
+	return p.start >= 0 && r >= p.start
 }
 
 // prob returns the decay probability for round r: 2^{-(1 + r mod levels)}.
@@ -139,11 +136,12 @@ func (p *decayGlobalProc) Step(r int, rng *bitrand.Source) radio.Action {
 
 // Deliver implements radio.Process.
 func (p *decayGlobalProc) Deliver(r int, msg *radio.Message) {
-	if msg == nil || p.informedAt >= 0 {
+	if msg == nil || p.start >= 0 {
 		return
 	}
 	p.msg = msg
-	p.informedAt = r + 1 // usable from the next round
+	informedAt := r + 1 // usable from the next round
+	p.start = ((informedAt + p.levels - 1) / p.levels) * p.levels
 }
 
 // DecayLocal is the decay-based local broadcast of [8] for the protocol

@@ -20,6 +20,11 @@ const PermutedDecayGamma = 16
 // bit string, so two nodes reading the same string at the same round agree
 // without any cursor state.
 //
+// The schedule is periodic in numBlocks·blockLen rounds, and (Re)setting it
+// resolves that whole period into a probability table once, so Prob is a
+// table read. Nodes informed from one source share the source's resolved
+// schedule by pointer; a schedule is read-only between resets.
+//
 //dglint:pooled reset=Reset
 type PermSchedule struct {
 	bits    *bitrand.BitString
@@ -31,6 +36,9 @@ type PermSchedule struct {
 	// numBlocks is the number of distinct calls the string supports before
 	// indices wrap (the paper's 2·log n calls for global broadcast).
 	numBlocks int
+	// probs[r] is Prob(r) for r in [0, numBlocks·blockLen); its storage is
+	// kept across resets.
+	probs []float64
 }
 
 // NewPermSchedule builds the Section 4.1 schedule over the given bits for
@@ -53,9 +61,9 @@ func NewPermScheduleLevels(bits *bitrand.BitString, levels, numBlocks, gamma int
 }
 
 // Reset reinitializes the schedule in place, exactly as NewPermSchedule
-// constructs it. Processes hold schedules by value and Reset them per
-// execution, so the engine's process arena re-runs trials without a
-// schedule allocation per informed node.
+// constructs it, reusing the probability table's storage. The engine's
+// process arena re-runs trials through Reset, so a trial costs no schedule
+// allocation.
 func (s *PermSchedule) Reset(bits *bitrand.BitString, n, numBlocks int) {
 	s.ResetLevels(bits, bitrand.LogN(n), numBlocks, PermutedDecayGamma)
 }
@@ -79,6 +87,36 @@ func (s *PermSchedule) ResetLevels(bits *bitrand.BitString, levels, numBlocks, g
 		gamma:     gamma,
 		blockLen:  gamma * levels,
 		numBlocks: numBlocks,
+		probs:     s.probs,
+	}
+	s.resolve()
+}
+
+// resolve fills the probability table for one period. Round r of the period
+// reads its index from bits [r·bitsPer, (r+1)·bitsPer), wrapping within an
+// undersized string — the positions Index reads — so one sequential cursor
+// covers the period.
+func (s *PermSchedule) resolve() {
+	period := s.numBlocks * s.blockLen
+	if cap(s.probs) < period {
+		s.probs = make([]float64, period)
+	}
+	s.probs = s.probs[:period]
+	n := s.bits.Len()
+	pos := 0
+	for r := range s.probs {
+		if n == 0 {
+			s.probs[r] = 0.5 // index 1
+			continue
+		}
+		var v uint64
+		for b := 0; b < s.bitsPer; b++ {
+			v |= s.bits.At(pos) << uint(b)
+			if pos++; pos == n {
+				pos = 0
+			}
+		}
+		s.probs[r] = math.Ldexp(1, -(int(v%uint64(s.levels)) + 1))
 	}
 }
 
@@ -100,8 +138,13 @@ func GlobalBitsLen(n, numBlocks int) int {
 	return numBlocks * PermutedDecayGamma * logN * bitrand.BitsFor(logN)
 }
 
+// Bits returns the bit string the schedule reads.
+func (s *PermSchedule) Bits() *bitrand.BitString { return s.bits }
+
 // Index returns the shared probability index i ∈ [1, levels] for global
 // round r. All nodes holding the same bit string compute the same value.
+// Index reads the bits directly; it is the definition the resolved table
+// behind Prob is checked against.
 func (s *PermSchedule) Index(r int) int {
 	if r < 0 {
 		r = 0
@@ -123,9 +166,13 @@ func (s *PermSchedule) Index(r int) int {
 	return int(v%uint64(s.levels)) + 1
 }
 
-// Prob returns the shared transmit probability 2^{-Index(r)} for round r.
+// Prob returns the shared transmit probability 2^{-Index(r)} for round r,
+// read from the resolved table.
 func (s *PermSchedule) Prob(r int) float64 {
-	return math.Ldexp(1, -s.Index(r))
+	if r < 0 {
+		r = 0
+	}
+	return s.probs[r%len(s.probs)]
 }
 
 // PermutedGlobal is the oblivious-model global broadcast of Section 4.1. The
@@ -148,12 +195,13 @@ func (PermutedGlobal) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitran
 	n := net.N()
 	numBlocks := 2 * bitrand.LogN(n)
 	bits := bitrand.NewBitString(rng, GlobalBitsLen(n, numBlocks))
+	shared := NewPermSchedule(bits, n, numBlocks)
 	procs := make([]radio.Process, n)
 	for u := 0; u < n; u++ {
-		p := &permGlobalProc{n: n, numBlocks: numBlocks, informedAt: -1}
+		p := &permGlobalProc{n: n, numBlocks: numBlocks, informedAt: -1, shared: shared}
 		if u == spec.Source {
 			p.informedAt = 0
-			p.sched.Reset(bits, n, numBlocks)
+			p.sched = shared
 			p.msg = &radio.Message{Origin: spec.Source, Payload: bits}
 			p.isSource = true
 		}
@@ -165,15 +213,21 @@ func (PermutedGlobal) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitran
 // ResetProcesses implements radio.ProcessFactory. The source redraws its
 // permutation bits from rng — the same count, in the same order, that
 // NewProcesses draws — refilling the previous trial's bit-string storage in
-// place; every other process is cleared to uninformed.
+// place, and the execution's shared schedule is re-resolved in its own
+// storage; every other process is cleared to uninformed.
 func (PermutedGlobal) ResetProcesses(procs []radio.Process, net *graph.Dual, spec radio.Spec, rng *bitrand.Source) bool {
 	n := net.N()
 	numBlocks := 2 * bitrand.LogN(n)
+	var shared *PermSchedule
 	for u := range procs {
 		p, ok := procs[u].(*permGlobalProc)
 		if !ok {
 			return false
 		}
+		shared = p.shared // one per slab: NewProcesses hands it to every node
+	}
+	for u := range procs {
+		p := procs[u].(*permGlobalProc)
 		if u == spec.Source {
 			// Reuse the node's own bit string and message frame when intact:
 			// the source never overwrites either during a trial.
@@ -189,10 +243,10 @@ func (PermutedGlobal) ResetProcesses(procs []radio.Process, net *graph.Dual, spe
 				p.msg = &radio.Message{Origin: u, Payload: bits}
 			}
 			msg := p.msg
-			*p = permGlobalProc{n: n, numBlocks: numBlocks, isSource: true, msg: msg}
-			p.sched.Reset(bits, n, numBlocks)
+			shared.Reset(bits, n, numBlocks)
+			*p = permGlobalProc{n: n, numBlocks: numBlocks, isSource: true, shared: shared, sched: shared, msg: msg}
 		} else {
-			*p = permGlobalProc{n: n, numBlocks: numBlocks, informedAt: -1}
+			*p = permGlobalProc{n: n, numBlocks: numBlocks, informedAt: -1, shared: shared}
 		}
 	}
 	return true
@@ -203,19 +257,17 @@ type permGlobalProc struct {
 	n          int
 	numBlocks  int
 	isSource   bool
-	informedAt int // -1 until informed; sched/msg are valid iff ≥ 0
-	sched      PermSchedule
-	msg        *radio.Message
-}
-
-// startRound returns the first block boundary at or after the node learned
-// the message.
-func (p *permGlobalProc) startRound() int {
-	if p.informedAt <= 0 {
-		return 0
-	}
-	bl := p.sched.BlockLen()
-	return ((p.informedAt + bl - 1) / bl) * bl
+	informedAt int // -1 until informed; sched/msg/start are valid iff ≥ 0
+	// start is the first round the node takes part in: the first block
+	// boundary at or after informedAt (0 for the source).
+	start int
+	// shared is the source's resolved schedule, one per execution and
+	// pointed to by every process of it; sched is the schedule the node
+	// runs once informed — shared, unless it was handed bits of another
+	// execution, which it then resolves on its own.
+	shared *PermSchedule
+	sched  *PermSchedule
+	msg    *radio.Message
 }
 
 func (p *permGlobalProc) activeProb(r int) float64 {
@@ -229,7 +281,7 @@ func (p *permGlobalProc) activeProb(r int) float64 {
 		}
 		return 0
 	}
-	if r < p.startRound() {
+	if r < p.start {
 		return 0
 	}
 	return p.sched.Prob(r)
@@ -260,7 +312,13 @@ func (p *permGlobalProc) Deliver(r int, msg *radio.Message) {
 		return // foreign message; ignore
 	}
 	p.informedAt = r + 1
-	p.sched.Reset(bits, p.n, p.numBlocks)
+	if p.shared != nil && bits == p.shared.Bits() {
+		p.sched = p.shared
+	} else {
+		p.sched = NewPermSchedule(bits, p.n, p.numBlocks)
+	}
+	bl := p.sched.BlockLen()
+	p.start = ((p.informedAt + bl - 1) / bl) * bl
 	p.msg = msg
 }
 

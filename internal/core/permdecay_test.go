@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bitrand"
+	"repro/internal/graph"
+	"repro/internal/radio"
 )
 
 func TestPermScheduleIndexRange(t *testing.T) {
@@ -155,4 +158,147 @@ func TestLemma42ReceiveProbability(t *testing.T) {
 		}
 	}
 	_ = logN
+}
+
+// checkResolved requires the resolved table behind Prob to agree with the
+// bit-reading definition 2^{-Index(r)} over three periods, so wrap-around of
+// rounds past the period is covered too.
+func checkResolved(t *testing.T, name string, s *PermSchedule) {
+	t.Helper()
+	period := s.numBlocks * s.BlockLen()
+	if len(s.probs) != period {
+		t.Fatalf("%s: table holds %d entries, period is %d", name, len(s.probs), period)
+	}
+	for r := 0; r < 3*period; r++ {
+		if got, want := s.Prob(r), math.Ldexp(1, -s.Index(r)); got != want {
+			t.Fatalf("%s: Prob(%d) = %v, want 2^-%d = %v", name, r, got, s.Index(r), want)
+		}
+	}
+}
+
+// TestPermScheduleTableMatchesIndex pins the resolved probability table to
+// Index, the bit-reading definition, on every schedule shape the simulator
+// builds: the Section 4.1 schedule across sizes, explicit level counts and γ,
+// the single-block Lemma 4.2 call, and undersized strings whose reads wrap.
+func TestPermScheduleTableMatchesIndex(t *testing.T) {
+	src := bitrand.New(7)
+	for _, n := range []int{2, 16, 1024, 1_000_000} {
+		numBlocks := 2 * bitrand.LogN(n)
+		bits := bitrand.NewBitString(src, GlobalBitsLen(n, numBlocks))
+		checkResolved(t, "global", NewPermSchedule(bits, n, numBlocks))
+	}
+	// Geo-style: log Δ levels (not a power of two, so the index map folds)
+	// and a γ other than 16.
+	for _, lv := range []struct{ levels, numBlocks, gamma int }{{3, 4, 16}, {5, 2, 8}, {6, 7, 1}} {
+		bits := bitrand.NewBitString(src, lv.numBlocks*lv.gamma*lv.levels*bitrand.BitsFor(lv.levels))
+		checkResolved(t, "levels", NewPermScheduleLevels(bits, lv.levels, lv.numBlocks, lv.gamma))
+	}
+	// One block, the Lemma 4.2 shape.
+	checkResolved(t, "one-block", NewPermSchedule(bitrand.NewBitString(src, GlobalBitsLen(1024, 1)), 1024, 1))
+	// Undersized strings: reads wrap within the string, including a length
+	// that is not a multiple of the bits per index.
+	for _, L := range []int{1, 7, 61, 130} {
+		checkResolved(t, "undersized", NewPermSchedule(bitrand.NewBitString(src, L), 256, 4))
+	}
+	checkResolved(t, "empty", NewPermSchedule(bitrand.NewBitString(src, 0), 16, 2))
+}
+
+// TestPermScheduleResetReresolves re-resolves a schedule through Refill and
+// Reset — the process arena's path — and requires the table to follow the
+// new bits in the same storage, with no stale probabilities from the
+// previous trial and no allocation.
+func TestPermScheduleResetReresolves(t *testing.T) {
+	src := bitrand.New(8)
+	n, numBlocks := 1024, 2*bitrand.LogN(1024)
+	L := GlobalBitsLen(n, numBlocks)
+	bits := bitrand.NewBitString(src, L)
+	s := NewPermSchedule(bits, n, numBlocks)
+	before := append([]float64(nil), s.probs...)
+	storage := &s.probs[0]
+
+	bits.Refill(src, L)
+	s.Reset(bits, n, numBlocks)
+	if &s.probs[0] != storage {
+		t.Fatal("Reset reallocated the probability table")
+	}
+	checkResolved(t, "refilled", s)
+	if slices.Equal(before, s.probs) {
+		t.Fatal("table unchanged after Refill + Reset: stale probabilities")
+	}
+	// A smaller schedule in the same storage, then the original shape again.
+	s.Reset(bits, 16, 2)
+	checkResolved(t, "shrunk", s)
+	s.Reset(bits, n, numBlocks)
+	checkResolved(t, "regrown", s)
+	if allocs := testing.AllocsPerRun(20, func() {
+		bits.Refill(src, L)
+		s.Reset(bits, n, numBlocks)
+	}); allocs != 0 {
+		t.Fatalf("Refill + Reset allocates %v times, want 0", allocs)
+	}
+}
+
+// TestPermutedGlobalSharesSchedule checks the informed-node path: a node
+// handed the source's bits runs the source's resolved schedule by pointer,
+// starting at the next block boundary; a node handed bits of another
+// execution resolves its own; and an arena reset re-resolves the shared
+// schedule in place without allocating.
+func TestPermutedGlobalSharesSchedule(t *testing.T) {
+	net := graph.UniformDual(graph.Clique(64))
+	spec := radio.Spec{Problem: radio.GlobalBroadcast, Source: 3}
+	procs := PermutedGlobal{}.NewProcesses(net, spec, bitrand.New(1))
+	src := procs[3].(*permGlobalProc)
+	shared := src.sched
+	if shared == nil || src.shared != shared {
+		t.Fatal("source does not run the execution's shared schedule")
+	}
+
+	bl := shared.BlockLen()
+	a := procs[5].(*permGlobalProc)
+	a.Deliver(bl+2, src.msg)
+	if a.sched != shared {
+		t.Fatal("informed node resolved a private schedule for the source's bits")
+	}
+	if want := 2 * bl; a.start != want {
+		t.Fatalf("start = %d, want the block boundary %d", a.start, want)
+	}
+	if a.TransmitProb(2*bl-1) != 0 || a.TransmitProb(2*bl) != shared.Prob(2*bl) {
+		t.Fatal("informed node not aligned to its block boundary")
+	}
+	// A second reception changes nothing.
+	a.Deliver(5*bl, &radio.Message{Origin: 9, Payload: bitrand.NewBitString(bitrand.New(2), 8)})
+	if a.sched != shared || a.start != 2*bl {
+		t.Fatal("informed node re-informed")
+	}
+
+	foreign := bitrand.NewBitString(bitrand.New(3), GlobalBitsLen(64, 2*bitrand.LogN(64)))
+	b := procs[6].(*permGlobalProc)
+	b.Deliver(0, &radio.Message{Origin: 0, Payload: foreign})
+	if b.sched == shared || b.sched.Bits() != foreign {
+		t.Fatal("node handed foreign bits did not resolve its own schedule")
+	}
+	checkResolved(t, "foreign", b.sched)
+
+	rng := bitrand.New(4)
+	if !(PermutedGlobal{}).ResetProcesses(procs, net, spec, rng) {
+		t.Fatal("reset refused its own slab")
+	}
+	for u, p := range procs {
+		gp := p.(*permGlobalProc)
+		if gp.shared != shared {
+			t.Fatalf("node %d lost the shared schedule across reset", u)
+		}
+		if u != 3 && (gp.sched != nil || gp.informedAt != -1) {
+			t.Fatalf("node %d still informed after reset", u)
+		}
+	}
+	if src.sched != shared || shared.Bits() != src.msg.Payload {
+		t.Fatal("reset source does not run the shared schedule over its own bits")
+	}
+	checkResolved(t, "reset", shared)
+	if allocs := testing.AllocsPerRun(20, func() {
+		(PermutedGlobal{}).ResetProcesses(procs, net, spec, rng)
+	}); allocs != 0 {
+		t.Fatalf("ResetProcesses allocates %v times, want 0", allocs)
+	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bitrand"
 	"repro/internal/core"
@@ -157,6 +158,17 @@ func runReduction(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// lemma42Scratch is one Lemma 4.2 trial's bit string and schedule. Trials
+// redraw the bits in place (Refill draws exactly what NewBitString would)
+// and re-resolve the schedule in its own storage, so the experiment's
+// trials share a few pooled tables instead of allocating one each.
+type lemma42Scratch struct {
+	bits  bitrand.BitString
+	sched core.PermSchedule
+}
+
+var lemma42Pool = sync.Pool{New: func() any { return new(lemma42Scratch) }}
+
 func runLemma42(cfg Config) (*Result, error) {
 	res := &Result{
 		ID:         "L4.2-permdecay",
@@ -182,8 +194,11 @@ func runLemma42(cfg Config) (*Result, error) {
 	} {
 		sw.tasks(trials, func(trial int) ([]float64, error) {
 			src := root.Split(uint64(si), uint64(trial))
-			bits := bitrand.NewBitString(src, core.GlobalBitsLen(n, 1))
-			sched := core.NewPermSchedule(bits, n, 1)
+			sc := lemma42Pool.Get().(*lemma42Scratch)
+			defer lemma42Pool.Put(sc)
+			sc.bits.Refill(src, core.GlobalBitsLen(n, 1))
+			sc.sched.Reset(&sc.bits, n, 1)
+			sched := &sc.sched
 			got := false
 			for r := 0; r < sched.BlockLen() && !got; r++ {
 				p := sched.Prob(r)

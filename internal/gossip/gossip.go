@@ -65,6 +65,7 @@ func (TDM) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitrand.Source) [
 	for j, inj := range spec.Injections {
 		srcIndex[inj.Source] = len(spec.Sources) + j
 	}
+	scheds := make([]core.PermSchedule, k)
 	procs := make([]radio.Process, n)
 	for u := 0; u < n; u++ {
 		p := &tdmProc{
@@ -72,17 +73,18 @@ func (TDM) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitrand.Source) [
 			k:         k,
 			numBlocks: numBlocks,
 			states:    make([]rumorState, k),
+			scheds:    scheds,
 		}
 		for i := range p.states {
 			p.states[i].informedAt = -1
 		}
 		if i, ok := srcIndex[u]; ok {
 			bits := bitrand.NewBitString(rng, core.GlobalBitsLen(n, numBlocks))
+			scheds[i].Reset(bits, n, numBlocks)
 			st := &p.states[i]
-			st.informedAt = rumorStart(spec, i)
-			st.sched.Reset(bits, n, numBlocks)
 			st.msg = &radio.Message{Origin: u, Payload: rumor{bits: bits}}
 			st.isOrigin = true
+			p.inform(st, rumorStart(spec, i), &scheds[i])
 		}
 		procs[u] = p
 	}
@@ -91,17 +93,28 @@ func (TDM) NewProcesses(net *graph.Dual, spec radio.Spec, rng *bitrand.Source) [
 
 // ResetProcesses implements radio.ProcessFactory. Origins redraw their rumor
 // bits in ascending node order — the order NewProcesses draws them — each
-// refilling its own previous bit-string storage; every per-rumor state is
-// cleared to uninformed first.
+// refilling its own previous bit-string storage and re-resolving its rumor's
+// shared schedule in place; every per-rumor state is cleared to uninformed
+// first.
 func (TDM) ResetProcesses(procs []radio.Process, net *graph.Dual, spec radio.Spec, rng *bitrand.Source) bool {
 	n := net.N()
 	k := spec.NumRumors()
 	numBlocks := 2 * bitrand.LogN(n)
+	var scheds []core.PermSchedule
 	for u := range procs {
 		p, ok := procs[u].(*tdmProc)
 		if !ok {
 			return false
 		}
+		if scheds == nil && len(p.scheds) == k {
+			scheds = p.scheds
+		}
+	}
+	if scheds == nil {
+		scheds = make([]core.PermSchedule, k)
+	}
+	for u := range procs {
+		p := procs[u].(*tdmProc)
 		if len(p.states) != k {
 			p.states = make([]rumorState, k)
 		}
@@ -137,7 +150,7 @@ func (TDM) ResetProcesses(procs []radio.Process, net *graph.Dual, spec radio.Spe
 		for i := range p.states {
 			p.states[i] = rumorState{informedAt: -1}
 		}
-		p.n, p.k, p.numBlocks = n, k, numBlocks
+		p.n, p.k, p.numBlocks, p.scheds = n, k, numBlocks, scheds
 		if si >= 0 {
 			L := core.GlobalBitsLen(n, numBlocks)
 			if bits != nil {
@@ -146,15 +159,15 @@ func (TDM) ResetProcesses(procs []radio.Process, net *graph.Dual, spec radio.Spe
 				bits = bitrand.NewBitString(rng, L)
 				oldMsg = nil
 			}
+			scheds[si].Reset(bits, n, numBlocks)
 			st := &p.states[si]
-			st.informedAt = rumorStart(spec, si)
-			st.sched.Reset(bits, n, numBlocks)
 			if oldMsg != nil && oldMsg.Origin == u {
 				st.msg = oldMsg
 			} else {
 				st.msg = &radio.Message{Origin: u, Payload: rumor{bits: bits}}
 			}
 			st.isOrigin = true
+			p.inform(st, rumorStart(spec, si), &scheds[si])
 		}
 	}
 	return true
@@ -162,8 +175,12 @@ func (TDM) ResetProcesses(procs []radio.Process, net *graph.Dual, spec radio.Spe
 
 //dglint:pooled reset=TDM.ResetProcesses
 type rumorState struct {
-	informedAt int // -1 until informed; sched/msg valid iff ≥ 0
-	sched      core.PermSchedule
+	informedAt int // -1 until informed; sched/msg/start valid iff ≥ 0
+	// start is the first subsequence round the node runs permuted decay for
+	// the rumor: the block boundary at or after the subsequence round it
+	// learned the rumor in.
+	start      int
+	sched      *core.PermSchedule
 	msg        *radio.Message
 	isOrigin   bool
 	originSent bool
@@ -174,22 +191,28 @@ type tdmProc struct {
 	n, k      int
 	numBlocks int
 	states    []rumorState
+	// scheds[i] is rumor i's schedule, resolved once from its origin's bits
+	// and shared by every process of the execution.
+	scheds []core.PermSchedule
 }
 
 // slot returns the rumor index served in global round r and the rumor-local
 // round index.
 func (p *tdmProc) slot(r int) (idx, sub int) { return r % p.k, r / p.k }
 
-// startSub returns the first aligned subsequence round for a rumor state.
-func (p *tdmProc) startSub(st *rumorState) int {
-	if st.informedAt <= 0 {
-		return 0
+// inform marks st informed at round at under schedule sched and fixes its
+// first aligned subsequence round.
+func (p *tdmProc) inform(st *rumorState, at int, sched *core.PermSchedule) {
+	st.informedAt = at
+	st.sched = sched
+	st.start = 0
+	if at > 0 {
+		// Subsequence round at which the rumor was learned, rounded up to
+		// the next permuted-decay block boundary.
+		sub := (at + p.k - 1) / p.k
+		bl := sched.BlockLen()
+		st.start = ((sub + bl - 1) / bl) * bl
 	}
-	// Subsequence round at which the rumor was learned, rounded up to the
-	// next permuted-decay block boundary.
-	sub := (st.informedAt + p.k - 1) / p.k
-	bl := st.sched.BlockLen()
-	return ((sub + bl - 1) / bl) * bl
 }
 
 func (p *tdmProc) prob(r int) (float64, *rumorState) {
@@ -210,7 +233,7 @@ func (p *tdmProc) prob(r int) (float64, *rumorState) {
 			return 1, st
 		}
 	}
-	if sub < p.startSub(st) {
+	if sub < st.start {
 		return 0, st
 	}
 	return st.sched.Prob(sub), st
@@ -252,7 +275,10 @@ func (p *tdmProc) Deliver(r int, msg *radio.Message) {
 	if !ok {
 		return
 	}
-	st.informedAt = r + 1
-	st.sched.Reset(pay.bits, p.n, p.numBlocks)
+	sched := &p.scheds[idx]
+	if pay.bits != sched.Bits() {
+		sched = core.NewPermSchedule(pay.bits, p.n, p.numBlocks)
+	}
 	st.msg = msg
+	p.inform(st, r+1, sched)
 }

@@ -226,3 +226,59 @@ func TestLeaderElectionUnderLoss(t *testing.T) {
 		t.Fatal("leader election incomplete under loss")
 	}
 }
+
+// TestTDMSharesRumorSchedules checks that a rumor's schedule is resolved
+// once, from its origin's bits, and run by pointer by every node informed of
+// it, that foreign bits get a private schedule, and that an arena reset
+// re-resolves the shared schedules in place without allocating.
+func TestTDMSharesRumorSchedules(t *testing.T) {
+	net := graph.UniformDual(graph.Clique(32))
+	spec := radio.Spec{Problem: radio.Gossip, Sources: []graph.NodeID{2, 9}}
+	procs := TDM{}.NewProcesses(net, spec, bitrand.New(1))
+	origin := procs[9].(*tdmProc)
+	shared := &origin.scheds[1]
+	if origin.states[1].sched != shared || shared.Bits() != origin.states[1].msg.Payload.(rumor).bits {
+		t.Fatal("origin does not run its rumor's shared schedule")
+	}
+
+	// Round 5 serves rumor 1 (k = 2); the node learns it in subsequence
+	// round 3 and starts at the next block boundary.
+	p := procs[4].(*tdmProc)
+	p.Deliver(5, origin.states[1].msg)
+	st := &p.states[1]
+	if st.sched != shared {
+		t.Fatal("informed node resolved a private schedule for the origin's bits")
+	}
+	if bl := shared.BlockLen(); st.start != bl {
+		t.Fatalf("start = %d, want the first block boundary %d", st.start, bl)
+	}
+
+	foreign := bitrand.NewBitString(bitrand.New(2), 64)
+	q := procs[5].(*tdmProc)
+	q.Deliver(1, &radio.Message{Origin: 0, Payload: rumor{bits: foreign}})
+	if q.states[1].sched == shared || q.states[1].sched.Bits() != foreign {
+		t.Fatal("node handed foreign bits did not resolve its own schedule")
+	}
+
+	rng := bitrand.New(3)
+	if !(TDM{}).ResetProcesses(procs, net, spec, rng) {
+		t.Fatal("reset refused its own slab")
+	}
+	for u, pr := range procs {
+		tp := pr.(*tdmProc)
+		if &tp.scheds[0] != &origin.scheds[0] {
+			t.Fatalf("node %d lost the shared schedules across reset", u)
+		}
+	}
+	if p.states[1].sched != nil || p.states[1].informedAt != -1 {
+		t.Fatal("informed node survived the reset")
+	}
+	if shared.Bits() != origin.states[1].msg.Payload.(rumor).bits || origin.states[1].sched != shared {
+		t.Fatal("reset origin does not run the shared schedule over its own bits")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		(TDM{}).ResetProcesses(procs, net, spec, rng)
+	}); allocs != 0 {
+		t.Fatalf("ResetProcesses allocates %v times, want 0", allocs)
+	}
+}

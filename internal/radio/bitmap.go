@@ -144,6 +144,7 @@ func (e *engine) fillTxSparse() {
 // are walked in cluster-major order — the layout's cache order — and every
 // id crossing the Deliver/record boundary is translated back to the
 // original space, so observable output is independent of the renumbering.
+// Only successful receptions are handed out, as in deliver.
 //
 //dglint:noalloc gate=TestSparseDeliveryAllocs
 func (e *engine) deliverSparse(r int, res *Result, m *graph.SparseNeighborMasks) []Delivery {
@@ -161,15 +162,13 @@ func (e *engine) deliverSparse(r int, res *Result, m *graph.SparseNeighborMasks)
 		recorded = e.recordBuf[:0]
 	}
 	for nu := 0; nu < e.n; nu++ {
-		u := oldID[nu]
 		if txw[nu>>6]>>(uint(nu)&63)&1 != 0 || summ[nu]&txSumm == 0 {
 			// Transmitting, or no transmitter anywhere near the row's blocks.
-			e.procs[u].Deliver(r, nil)
 			continue
 		}
 		count, from := bitrand.IntersectOneIndexed(idx[offs[nu]:offs[nu+1]], words[offs[nu]:offs[nu+1]], txw)
 		if count == 1 {
-			v := oldID[from]
+			u, v := oldID[nu], oldID[from]
 			msg := e.msgOf[v]
 			e.procs[u].Deliver(r, msg)
 			e.mon.observe(r, u, msg)
@@ -177,8 +176,6 @@ func (e *engine) deliverSparse(r int, res *Result, m *graph.SparseNeighborMasks)
 			if record {
 				recorded = append(recorded, Delivery{To: u, From: v})
 			}
-		} else {
-			e.procs[u].Deliver(r, nil)
 		}
 	}
 	if record {

@@ -557,9 +557,10 @@ func (e *engine) step(r int, res *Result) {
 }
 
 // deliver computes receptions under the round topology G ∪ selector(E'\E)
-// and invokes Deliver on every process. It returns the delivery list only
-// when a recorder is attached (nil otherwise); the list is backed by the
-// engine's reusable buffer and is valid only until the next round.
+// and hands each successful reception to its receiver's Deliver. It returns
+// the delivery list only when a recorder is attached (nil otherwise); the
+// list is backed by the engine's reusable buffer and is valid only until the
+// next round.
 //
 //dglint:noalloc gate=TestHotPathAllocs
 func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Delivery {
@@ -567,17 +568,13 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 	// rows and enough transmitters to beat the CSR walk go through the
 	// bitmap kernel. The complete-graph fast path below stays first in line
 	// (it is O(n) with no per-word work).
-	if e.plan == PlanBitmap && len(e.tx) >= e.bitmapTxMin && !(selector.All() && e.net.UnionComplete()) {
+	complete := selector.All() && e.net.UnionComplete()
+	if e.plan == PlanBitmap && len(e.tx) >= e.bitmapTxMin && !complete {
 		if m := e.roundSparse(selector); m != nil {
 			e.fillTxSparse()
 			return e.deliverSparse(r, res, m)
 		}
 	}
-
-	for _, v := range e.tx {
-		e.txFlag[v] = true
-	}
-	e.touched = e.touched[:0]
 
 	var recorded []Delivery
 	record := e.cfg.Recorder != nil
@@ -593,14 +590,13 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 
 	// Fast path: the round topology is the complete graph. Every listener
 	// neighbors every transmitter, so with ≥2 transmitters everyone
-	// collides, and with exactly one, everyone receives.
-	if selector.All() && e.net.UnionComplete() {
+	// collides, and with exactly one, everyone else receives.
+	if complete {
 		if len(e.tx) == 1 {
 			v := e.tx[0]
 			msg := e.msgOf[v]
 			for u := 0; u < e.n; u++ {
 				if u == v {
-					e.procs[u].Deliver(r, nil)
 					continue
 				}
 				e.procs[u].Deliver(r, msg)
@@ -610,16 +606,14 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 					recorded = append(recorded, Delivery{To: u, From: v})
 				}
 			}
-		} else {
-			for u := 0; u < e.n; u++ {
-				e.procs[u].Deliver(r, nil)
-			}
-		}
-		for _, v := range e.tx {
-			e.txFlag[v] = false
 		}
 		return recorded
 	}
+
+	for _, v := range e.tx {
+		e.txFlag[v] = true
+	}
+	e.touched = e.touched[:0]
 
 	add := func(u, v graph.NodeID) {
 		if e.txFlag[u] {
@@ -695,10 +689,10 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 		}
 	}
 
-	// Hand out results: touched listeners receive their message or a
-	// collision; everyone else (silent listeners and all transmitters)
-	// hears nil. counts[u] is set to -1 for touched nodes so the second
-	// pass can tell them apart, then reset to 0 for the next round.
+	// Hand out receptions: a touched listener with exactly one transmitting
+	// neighbor receives its message. Everyone else — silent listeners,
+	// collisions and transmitters — hears nothing, which without collision
+	// detection tells a node nothing, so Deliver is not called.
 	for _, u := range e.touched {
 		if e.counts[u] == 1 {
 			msg := e.msgOf[e.from[u]]
@@ -708,17 +702,8 @@ func (e *engine) deliver(selector graph.EdgeSelector, r int, res *Result) []Deli
 			if record {
 				recorded = append(recorded, Delivery{To: u, From: e.from[u]})
 			}
-		} else {
-			e.procs[u].Deliver(r, nil) // collision
 		}
-		e.counts[u] = -1
-	}
-	for u := 0; u < e.n; u++ {
-		if e.counts[u] == -1 {
-			e.counts[u] = 0
-			continue
-		}
-		e.procs[u].Deliver(r, nil)
+		e.counts[u] = 0
 	}
 
 	for _, v := range e.tx {

@@ -275,3 +275,35 @@ func BenchmarkGossipTrial(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStepLayer measures the step layer the way the presample adversary
+// drives it: one presimulation-shaped trial — the n = 1024 dual clique, no
+// link, IgnoreCompletion, 4n rounds, a TxCountRecorder — per iteration, for
+// permuted decay (one shared schedule, resolved once per trial) and plain
+// decay. Informed nodes dominate the rounds, so ns/node-round is the cost of
+// one Step plus that node's share of delivery.
+func BenchmarkStepLayer(b *testing.B) {
+	const n = 1024
+	dc, _ := graph.DualClique(n, 3)
+	spec := radio.Spec{Problem: radio.GlobalBroadcast, Source: 0}
+	for _, alg := range []radio.Algorithm{core.PermutedGlobal{}, core.DecayGlobal{}} {
+		b.Run(alg.Name()+"/n=1024", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := radio.Run(radio.Config{
+					Net:              dc,
+					Algorithm:        alg,
+					Spec:             spec,
+					Seed:             uint64(i),
+					MaxRounds:        4 * n,
+					Recorder:         &radio.TxCountRecorder{},
+					IgnoreCompletion: true,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*n*4*n), "ns/node-round")
+		})
+	}
+}

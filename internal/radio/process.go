@@ -106,14 +106,18 @@ func Listen() Action { return Action{} }
 func Transmit(m *Message) Action { return Action{Transmit: true, Msg: m} }
 
 // Process is one node's randomized protocol. The engine calls Step exactly
-// once per round (before delivery), then Deliver with the outcome.
+// once per round (before delivery), then Deliver for each reception.
 type Process interface {
 	// Step decides the round-r action. rng is the node's private randomness;
 	// all random choices must come from it so executions are reproducible.
 	Step(r int, rng *bitrand.Source) Action
-	// Deliver reports the round-r outcome: the received message, or nil for
-	// silence/collision. Transmitters always receive nil (a radio cannot
-	// hear while transmitting).
+	// Deliver reports a round-r reception: the engine calls it only when
+	// the node listened and exactly one of its round-r neighbors
+	// transmitted, with that neighbor's message. Silence, collisions and
+	// transmitting (a radio cannot hear while transmitting) all mean "heard
+	// nothing" — the model has no collision detection — so they are not
+	// reported. Implementations treat a nil msg as no reception; drivers
+	// other than the engine may pass one.
 	Deliver(r int, msg *Message)
 }
 

@@ -22,14 +22,15 @@ type Spec struct {
 	Experiments []string `json:"experiments,omitempty"`
 	// Full selects full-scale sweeps; the default is the quick scale.
 	Full bool `json:"full,omitempty"`
-	// Trials is the per-point trial count; 0 means the scale default and is
-	// normalized to it, so an explicit default and an omitted one describe —
-	// and cache as — the same run.
+	// Trials is the per-point trial count, at most MaxTrials; 0 means the
+	// scale default and is normalized to it, so an explicit default and an
+	// omitted one describe — and cache as — the same run.
 	Trials int `json:"trials,omitempty"`
 	// Seed is the base seed offset.
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers bounds the worker pool. It changes wall clock, never output,
-	// and is therefore excluded from every content hash.
+	// Workers bounds the worker pool, at most MaxWorkers; 0 means
+	// GOMAXPROCS. It changes wall clock, never output, and is therefore
+	// excluded from every content hash.
 	Workers int `json:"workers,omitempty"`
 	// Scenario, when set, adds one caller-defined churn experiment built
 	// from the serialized generator config (experiments.CustomChurn).
@@ -55,6 +56,16 @@ type ScenarioSpec struct {
 // the grid builder allocate for billions of points at execute time, so it
 // is refused at submit.
 const maxScenarioSide = 1000
+
+// MaxTrials and MaxWorkers bound Spec.Trials and Spec.Workers. The registry
+// defaults sit far below them (5 quick and 15 full trials per point; the
+// pool defaults to GOMAXPROCS), while a spec past them would have the
+// service plan billions of tasks or start thousands of workers, so it is
+// refused at submit, before anything is planned or started.
+const (
+	MaxTrials  = 10_000
+	MaxWorkers = 256
+)
 
 // ParseSpec decodes one spec from JSON, rejecting unknown fields and
 // trailing garbage: a typo'd knob must fail the submission, not silently run
@@ -84,11 +95,11 @@ type resolved struct {
 // deduplicated, and a scenario becomes a concrete experiment whose ID embeds
 // the scenario's content hash. Every error names the field that failed.
 func resolveSpec(spec Spec, catalog []experiments.Experiment) (resolved, error) {
-	if spec.Trials < 0 {
-		return resolved{}, fmt.Errorf("runsvc: trials must be >= 0, got %d", spec.Trials)
+	if spec.Trials < 0 || spec.Trials > MaxTrials {
+		return resolved{}, fmt.Errorf("runsvc: trials must be in [0, %d], got %d", MaxTrials, spec.Trials)
 	}
-	if spec.Workers < 0 {
-		return resolved{}, fmt.Errorf("runsvc: workers must be >= 0, got %d", spec.Workers)
+	if spec.Workers < 0 || spec.Workers > MaxWorkers {
+		return resolved{}, fmt.Errorf("runsvc: workers must be in [0, %d], got %d", MaxWorkers, spec.Workers)
 	}
 	cfg := experiments.Config{
 		Quick:    !spec.Full,

@@ -67,8 +67,12 @@ func TestResolveSpecValidation(t *testing.T) {
 	}{
 		{"unknown id", Spec{Experiments: []string{"F1-nope"}}, `unknown experiment "F1-nope"`},
 		{"substring is not a selection", Spec{Experiments: []string{"F1"}}, `unknown experiment "F1"`},
-		{"negative trials", Spec{Trials: -1}, "trials must be >= 0"},
-		{"negative workers", Spec{Workers: -2}, "workers must be >= 0"},
+		{"negative trials", Spec{Trials: -1}, "trials must be in [0, 10000], got -1"},
+		{"negative workers", Spec{Workers: -2}, "workers must be in [0, 256], got -2"},
+		{"trials past the cap", Spec{Trials: MaxTrials + 1}, "trials must be in [0, 10000], got 10001"},
+		{"huge trials", Spec{Trials: 1 << 40}, "trials must be in [0, 10000], got 1099511627776"},
+		{"workers past the cap", Spec{Workers: MaxWorkers + 1}, "workers must be in [0, 256], got 257"},
+		{"huge workers", Spec{Workers: 1 << 40}, "workers must be in [0, 256], got 1099511627776"},
 		{"tiny scenario", Spec{Scenario: &ScenarioSpec{Side: 1, Gen: scenario.GenConfig{EpochLen: 5}}}, "side 1"},
 		{"huge scenario", Spec{Scenario: &ScenarioSpec{Side: 1001, Gen: scenario.GenConfig{EpochLen: 5}}}, "side 1001"},
 		{"overflowing scenario", Spec{Scenario: &ScenarioSpec{Side: 1 << 32, Gen: scenario.GenConfig{EpochLen: 5}}}, "side 4294967296"},
@@ -82,6 +86,16 @@ func TestResolveSpecValidation(t *testing.T) {
 				t.Fatalf("error %v, want mention of %q", err, tc.want)
 			}
 		})
+	}
+
+	// The trial and worker caps are inclusive. Resolving validates only:
+	// nothing is planned or started.
+	atCap, err := resolveSpec(Spec{Experiments: []string{"L3.2-hitting"}, Trials: MaxTrials, Workers: MaxWorkers}, catalog)
+	if err != nil {
+		t.Fatalf("trials %d, workers %d: %v", MaxTrials, MaxWorkers, err)
+	}
+	if atCap.cfg.Trials != MaxTrials || atCap.cfg.Workers != MaxWorkers {
+		t.Fatalf("resolved trials %d workers %d, want the caps", atCap.cfg.Trials, atCap.cfg.Workers)
 	}
 
 	// The side bound is inclusive: SCALE-n's largest network resolves.
